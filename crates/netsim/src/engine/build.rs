@@ -14,7 +14,7 @@ use crate::routing::{route, LinkId};
 use crate::topology::Topology;
 use crate::traffic::Flow;
 
-use super::sched::RouterQueue;
+use super::sched::{PendingQueue, RouterQueue};
 use super::shard::{LinkState, PortState, Shard, ShardTelemetry, WindowOut};
 use super::EngineConfig;
 
@@ -63,6 +63,11 @@ pub(crate) struct Net {
     pub link_from: Vec<u32>,
     /// Telemetry sampling interval in cycles (0 = off).
     pub sample_every: Cycle,
+    /// Node → owning shard (where a delivery to that node goes).
+    pub shard_of_node: Vec<u32>,
+    /// Global link index → (owning shard, local index) (where a freed
+    /// credit for that link goes).
+    pub link_owner: Vec<(u32, u32)>,
 }
 
 impl Net {
@@ -147,10 +152,6 @@ pub(crate) struct Sim<'a> {
     pub cfg: &'a EngineConfig,
     pub net: Net,
     pub shards: Vec<std::sync::Mutex<Shard>>,
-    /// Global link index → (shard, local index).
-    pub link_owner: Vec<(u32, u32)>,
-    /// Node → shard.
-    pub shard_of_node: Vec<u32>,
     pub total_words: u64,
 }
 
@@ -162,8 +163,10 @@ pub(crate) fn protocol(detail: String) -> SimError {
 /// never depends on the worker count at a *given* shard count — and the
 /// coordinator's stage-major fold makes the results independent of the
 /// shard count too — so this is purely a throughput knob: roughly two
-/// shards per worker keeps every worker busy despite uneven window costs,
-/// without paying barrier overhead for hundreds of tiny shards.
+/// shards per requested worker, without paying barrier overhead for
+/// hundreds of tiny shards. It follows the *requested* jobs, not the
+/// threads the run's pool is capped at, so a partition never depends on
+/// the host.
 fn pick_shard_count(cfg: &EngineConfig, jobs: usize, groups: usize) -> usize {
     if cfg.shards > 0 {
         return cfg.shards.clamp(1, groups.max(1));
@@ -309,8 +312,20 @@ pub(crate) fn build_sim<'a>(
     let total_words: u64 = paths.iter().map(|p| u64::from(p.words)).sum();
 
     let reference = cfg.reference_scheduler;
+    // A delivery lands at most wire + latency (+ fault jitter) cycles past
+    // the window that transmitted it; anything further (an oversized delay)
+    // takes the wheel's overflow path, so the horizon only sets the
+    // fast-path hit rate, never correctness.
+    let jitter = if cfg.fault.is_active() {
+        cfg.fault.config().max_jitter_cycles
+    } else {
+        0
+    };
+    let latency = cfg.link.latency_cycles.max(1);
+    let horizon =
+        latency + (cfg.word_cycles().ceil() as Cycle) + cfg.link.latency_cycles + jitter + 4;
     let mut shards: Vec<Shard> = (0..shard_count)
-        .map(|_| Shard {
+        .map(|id| Shard {
             node_lo: u32::MAX,
             tx: Vec::new(),
             rx: Vec::new(),
@@ -324,8 +339,13 @@ pub(crate) fn build_sim<'a>(
             links: Vec::new(),
             link_globals: Vec::new(),
             ports: Vec::new(),
-            inbox: Vec::new(),
-            credit_inbox: Vec::new(),
+            id: id as u32,
+            pending: PendingQueue::new(reference, horizon),
+            peers: vec![id as u32],
+            outbox: vec![Vec::new(); shard_count],
+            inbox: vec![Vec::new(); shard_count],
+            credit_outbox: vec![Vec::new(); shard_count],
+            credit_inbox: vec![Vec::new(); shard_count],
             arena: Arena::new(),
             lanes: !reference,
             drain_flow_ids: Vec::new(),
@@ -413,6 +433,13 @@ pub(crate) fn build_sim<'a>(
         });
         shards[s].link_globals.push(gi as u32);
         link_owner.push((s as u32, local));
+        let t = shard_of_node[l.to];
+        shards[s].peers.push(t);
+        shards[t as usize].peers.push(s as u32);
+    }
+    for shard in &mut shards {
+        shard.peers.sort_unstable();
+        shard.peers.dedup();
     }
     for (g, &owner) in group_owner.iter().enumerate().take(groups) {
         let s = owner as usize;
@@ -437,7 +464,7 @@ pub(crate) fn build_sim<'a>(
         flows: paths,
         link_to: links.iter().map(|l| l.to as u32).collect(),
         wt,
-        latency: cfg.link.latency_cycles.max(1),
+        latency,
         source_wc: cfg.source_word_cycles,
         drain_wc: cfg.drain_word_cycles,
         fault: cfg.fault,
@@ -448,14 +475,14 @@ pub(crate) fn build_sim<'a>(
         record_latency: cfg.record_latency,
         link_from: links.iter().map(|l| l.from as u32).collect(),
         sample_every: cfg.sample_every,
+        shard_of_node,
+        link_owner,
     };
 
     Ok(Sim {
         cfg,
         net,
         shards: shards.into_iter().map(std::sync::Mutex::new).collect(),
-        link_owner,
-        shard_of_node,
         total_words,
     })
 }

@@ -29,6 +29,31 @@
 //! per-stage streams in shard order). `jobs = 1` and `jobs = N`, one shard
 //! or sixty-four: byte-identical event streams and digests.
 //!
+//! # Worker pool
+//!
+//! A window of a 64-node machine is tens of microseconds of work, so the
+//! run pays for its threads once, not per window: [`run_flows`] opens one
+//! [`par::with_pool`] around its whole window loop. The calling thread is
+//! the coordinator and one of the workers; each phase of the pool is one
+//! window on every shard, each worker always running the same contiguous
+//! block of shards, and the handoff is a phase counter that the idle side
+//! spins on briefly before parking. The requested `jobs` still pick the
+//! shard count (and so the partition); the threads are capped at the
+//! host's cores and at one per shard. At `jobs = 1` the loop runs inline
+//! and no thread is spawned.
+//!
+//! Between windows the coordinator holds every shard and does only what
+//! must be serial: the canonical event fold and the counter sums. Words
+//! and credits crossing shards travel as mail: a shard sorts each
+//! delivery it transmits into an outbox per destination shard (or straight
+//! into its own arrival store when it stays home), the barrier swaps each
+//! outbox buffer with the destination's inbox — a pointer swap per pair
+//! of neighbouring shards, no per-word work — and the destination files
+//! its inboxes into its own arrival-ordered store when its next window
+//! opens. Each shard drains that store in `(arrive, seq)` order, which is
+//! its subsequence of the global arrival order, so the partition stays
+//! invisible.
+//!
 //! # Memory at scale
 //!
 //! Per-node state lives in structure-of-arrays form inside each shard
@@ -53,10 +78,10 @@
 //!
 //! Two interchangeable queue substrates drive the identical window logic:
 //!
-//! * the **production scheduler** (the default): the coordinator's
-//!   in-flight deliveries live in a cycle-bucketed
+//! * the **production scheduler** (the default): each shard's in-flight
+//!   deliveries live in a cycle-bucketed
 //!   [`TimingWheel`](memcomm_util::wheel::TimingWheel) (deliveries *are*
-//!   time-keyed — the barrier releases everything below `t1`), and each
+//!   time-keyed — a window releases everything below its end), and each
 //!   router queue is a set of per-flow FIFO *lanes* carved from a shared
 //!   freelist [`Arena`](memcomm_util::arena::Arena), with a small lazy heap
 //!   over the lane heads. Router queues are *rank*-ordered, not
@@ -77,11 +102,6 @@ mod sched;
 mod shard;
 mod window;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use memcomm_util::wheel::TimingWheel;
-
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::error::{SimError, SimResult};
 use memcomm_memsim::fault::FaultPlan;
@@ -96,8 +116,7 @@ use crate::topology::Topology;
 use crate::traffic::Flow;
 
 use build::{build_sim, Sim};
-use sched::Delivery;
-use shard::{WindowOut, SERIES_POINTS};
+use shard::SERIES_POINTS;
 
 /// Engine name used in error diagnostics.
 const ENGINE: &str = "netsim-engine";
@@ -249,8 +268,9 @@ pub struct EngineConfig {
     pub drain_word_cycles: Cycle,
     /// Send address-data pairs instead of data-only words.
     pub address_data_pairs: bool,
-    /// Worker threads for the shard fan-out (0 = the process-wide setting).
-    /// Never affects results, only wall-clock.
+    /// Worker threads for the shard fan-out (0 = the process-wide setting),
+    /// capped at the host's cores and at the shard count. Never affects
+    /// results, only wall-clock.
     pub jobs: usize,
     /// Shard count (0 = auto: about two per worker, clamped to the port
     /// group count). Never affects results, only wall-clock — the
@@ -537,46 +557,95 @@ pub fn run_flows(topo: &Topology, flows: &[Flow], cfg: &EngineConfig) -> SimResu
     run_sim(sim)
 }
 
-/// The coordinator's in-flight delivery store under either scheduler.
-enum PendingQueue {
-    /// The retired global heap.
-    Heap(BinaryHeap<Reverse<Delivery>>),
-    /// The production cycle-bucketed wheel; deliveries are genuinely
-    /// time-keyed (the barrier releases everything below `t1`, tie-broken
-    /// by the unique `seq` inside [`Delivery`]'s derived order).
-    Wheel(TimingWheel<Delivery>),
+/// What one window contributed that the run loop itself acts on.
+struct WindowSums {
+    progress: u64,
+    queued: u64,
+    in_flight: u64,
+    stalls: u64,
 }
 
-impl PendingQueue {
-    fn len(&self) -> usize {
-        match self {
-            PendingQueue::Heap(h) => h.len(),
-            PendingQueue::Wheel(w) => w.len(),
-        }
-    }
+/// Run-long tallies the barrier keeps across windows.
+struct Tally {
+    drained: u64,
+    /// Deepest each shard's router queues ever got, for the per-shard
+    /// balance gauges.
+    shard_peaks: Vec<u64>,
 }
 
-/// Folds one window's outputs in canonical stage-major order: every
-/// shard's injections (ports ascending within each shard, shards in node
-/// order), then every shard's link transits, then every shard's ejections.
-/// Any port-group-aligned partition produces exactly this sequence, which
-/// is what makes the digest independent of the shard count.
-fn fold_window(outs: &[&WindowOut], digest: &mut u64, record: bool, events: &mut Vec<EngineEvent>) {
+/// The barrier closing one window, under either scheduler: folds the
+/// shards' outputs into the run, then passes every shard's outgoing
+/// deliveries and freed credits to the shards they are bound for.
+///
+/// The event stream goes in canonical stage-major order: every shard's
+/// injections (ports ascending within each shard, shards in node order),
+/// then every shard's link transits, then every shard's ejections. Any
+/// port-group-aligned partition produces exactly this sequence, which is
+/// what makes the digest independent of the shard count. The counters are
+/// sums and maxima, so their order is free; the mail moves by buffer swaps
+/// between neighbouring shards, with no per-word work here — each shard
+/// files its incoming words into its own arrival-ordered store when its
+/// next window opens.
+fn barrier(sim: &Sim<'_>, outcome: &mut EngineOutcome, tally: &mut Tally) -> WindowSums {
+    // The pool's helpers are idle between windows, so these locks are
+    // uncontended; holding all guards lets the barrier walk the shards
+    // several times and move buffers between them without re-locking.
+    let mut guards: Vec<_> = sim
+        .shards
+        .iter()
+        .map(|s| s.lock().expect("shard lock poisoned"))
+        .collect();
     for stage in 0..3 {
-        for out in outs {
+        for shard in &guards {
             let evs = match stage {
-                0 => &out.inject_events,
-                1 => &out.link_events,
-                _ => &out.eject_events,
+                0 => &shard.out.inject_events,
+                1 => &shard.out.link_events,
+                _ => &shard.out.eject_events,
             };
             for e in evs {
-                *digest = e.fold_into(*digest);
+                outcome.digest = e.fold_into(outcome.digest);
             }
-            if record {
-                events.extend_from_slice(evs);
+            if sim.cfg.record_events {
+                outcome.events.extend_from_slice(evs);
             }
         }
     }
+    let mut sums = WindowSums {
+        progress: 0,
+        queued: 0,
+        in_flight: 0,
+        stalls: 0,
+    };
+    for (i, shard) in guards.iter().enumerate() {
+        let out = &shard.out;
+        sums.progress += out.progress;
+        sums.queued += out.queued;
+        sums.in_flight += out.in_flight;
+        sums.stalls += out.stalls;
+        tally.drained += out.drained;
+        tally.shard_peaks[i] = tally.shard_peaks[i].max(out.queued);
+        outcome.flit_hops += out.flit_hops;
+        outcome.dropped += out.dropped;
+        outcome.corrupted += out.corrupted;
+        outcome.retried += out.retried;
+        outcome.abandoned += out.abandoned;
+        outcome.cycles = outcome.cycles.max(out.last_drain);
+    }
+    // Words go from each shard to its peers and credits come back from
+    // them. The buffers coming back were drained by their last window,
+    // keeping their capacity.
+    for i in 0..guards.len() {
+        for k in 0..guards[i].peers.len() {
+            let j = guards[i].peers[k] as usize;
+            if j != i {
+                let mail = std::mem::take(&mut guards[i].outbox[j]);
+                guards[i].outbox[j] = std::mem::replace(&mut guards[j].inbox[i], mail);
+            }
+            let credits = std::mem::take(&mut guards[j].credit_outbox[i]);
+            guards[j].credit_outbox[i] = std::mem::replace(&mut guards[i].credit_inbox[j], credits);
+        }
+    }
+    sums
 }
 
 fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
@@ -584,11 +653,10 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
     let obs = Obs::current();
     let window = cfg.link.latency_cycles.max(1);
     let jobs = if cfg.jobs == 0 { par::jobs() } else { cfg.jobs };
-    let shard_ids: Vec<usize> = (0..sim.shards.len()).collect();
-    // Hand each worker a few shards at a time: one fetch-add per chunk
-    // instead of per shard, while still leaving enough chunks (~4 per
-    // worker) to absorb uneven window costs.
-    let chunk = shard_ids.len().div_ceil(jobs.max(1) * 4).max(1);
+    // The requested jobs pick the shard count (and so the partition); the
+    // threads are capped at the host's cores — and, inside the pool, at one
+    // per shard — so a huge `jobs` never asks for more threads than can run.
+    let workers = jobs.min(par::available_jobs());
 
     let mut outcome = EngineOutcome {
         cycles: 0,
@@ -611,31 +679,10 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
     }
 
     let mut watchdog = Watchdog::new(cfg.max_windows).with_cycle_budget(cfg.max_cycles);
-    let jitter = if cfg.fault.is_active() {
-        cfg.fault.config().max_jitter_cycles
-    } else {
-        0
+    let mut tally = Tally {
+        drained: 0,
+        shard_peaks: vec![0; sim.shards.len()],
     };
-    let mut pending = if cfg.reference_scheduler {
-        PendingQueue::Heap(BinaryHeap::new())
-    } else {
-        // A delivery lands at most wire + latency (+ fault jitter) cycles
-        // past the window that transmitted it; anything further (an
-        // oversized delay) takes the wheel's overflow path, so the horizon
-        // only sets the fast-path hit rate, never correctness.
-        let horizon =
-            window + (cfg.word_cycles().ceil() as Cycle) + cfg.link.latency_cycles + jitter + 4;
-        PendingQueue::Wheel(TimingWheel::new(horizon))
-    };
-    // Per-shard delivery/credit scratch, ping-ponged with the shard inboxes
-    // at each barrier on the production path (no steady-state allocation).
-    let mut scratch: Vec<Vec<Delivery>> = vec![Vec::new(); sim.shards.len()];
-    let mut credit_scratch: Vec<Vec<(u32, u8)>> = vec![Vec::new(); sim.shards.len()];
-    let mut credits_pending: Vec<(u32, u8)> = Vec::new();
-    // Deepest each shard's router queues ever got, for the per-shard
-    // balance gauges.
-    let mut shard_peaks: Vec<u64> = vec![0; sim.shards.len()];
-    let mut drained = 0u64;
     let mut idle_windows = 0u64;
     let mut last_progress_t0: Cycle = 0;
     // How long legitimate inactivity can last, in windows: fault stalls and
@@ -665,173 +712,69 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
         .saturating_add(word_gap)
         / window;
 
-    let mut t0: Cycle = 0;
-    loop {
-        watchdog.tick(ENGINE, t0)?;
-        let t1 = t0 + window;
-
-        // Barrier: hand due deliveries (globally sorted by (arrive, seq))
-        // and freed credits to their owning shards.
-        match &mut pending {
-            PendingQueue::Heap(pending) => {
-                let mut per_shard: Vec<Vec<Delivery>> = vec![Vec::new(); sim.shards.len()];
-                while pending.peek().is_some_and(|Reverse(d)| d.arrive < t1) {
-                    let Reverse(d) = pending.pop().expect("peeked");
-                    per_shard[sim.shard_of_node[d.to_node as usize] as usize].push(d);
-                }
-                let mut credit_shard: Vec<Vec<(u32, u8)>> = vec![Vec::new(); sim.shards.len()];
-                for (link, vc) in credits_pending.drain(..) {
-                    let (s, local) = sim.link_owner[link as usize];
-                    credit_shard[s as usize].push((local, vc));
-                }
-                for (i, (inbox, credits)) in per_shard.into_iter().zip(credit_shard).enumerate() {
-                    let mut shard = sim.shards[i].lock().expect("shard lock poisoned");
-                    shard.inbox = inbox;
-                    shard.credit_inbox = credits;
-                }
+    // One pool phase is one window `[t0, t0 + window)` on every shard; the
+    // helper threads live for the whole run.
+    let run_window = |t0: Cycle, i: usize| {
+        sim.shards[i]
+            .lock()
+            .expect("shard lock poisoned")
+            .run_window(t0, t0 + window, &sim.net);
+    };
+    // Start of the last window run.
+    let t_last = par::with_pool(workers, sim.shards.len(), &run_window, |pool| {
+        let mut t0: Cycle = 0;
+        loop {
+            watchdog.tick(ENGINE, t0)?;
+            let t1 = t0 + window;
+            pool.run(t0);
+            let sums = barrier(&sim, &mut outcome, &mut tally);
+            // One aggregate registry add per window for the quiet NIC FIFOs'
+            // fault stalls — identical totals to per-event counting, with
+            // the shards never touching the metrics mutex from the pool.
+            if sums.stalls > 0 {
+                obs.count(memcomm_memsim::stats::fault_metric::INJECTED, sums.stalls);
             }
-            PendingQueue::Wheel(wheel) => {
-                // The wheel emits in ascending (arrive, seq) order — the
-                // same global order the heap pop loop produced — and each
-                // shard receives its subsequence of it.
-                wheel.drain_until(t1, |_, d| {
-                    scratch[sim.shard_of_node[d.to_node as usize] as usize].push(d);
-                });
-                for (link, vc) in credits_pending.drain(..) {
-                    let (s, local) = sim.link_owner[link as usize];
-                    credit_scratch[s as usize].push((local, vc));
-                }
-                for i in 0..sim.shards.len() {
-                    let mut shard = sim.shards[i].lock().expect("shard lock poisoned");
-                    std::mem::swap(&mut shard.inbox, &mut scratch[i]);
-                    std::mem::swap(&mut shard.credit_inbox, &mut credit_scratch[i]);
-                    // The vectors coming back were cleared by the previous
-                    // window, keeping their capacity.
-                }
+            outcome.windows += 1;
+            outcome.peak_queue_depth = outcome.peak_queue_depth.max(sums.in_flight + sums.queued);
+            if sums.progress > 0 {
+                last_progress_t0 = t0;
             }
-        }
 
-        let mut progress = 0u64;
-        let mut queued = 0u64;
-        let mut stalls_w = 0u64;
-        match &mut pending {
-            PendingQueue::Heap(pending) => {
-                let outs: Vec<WindowOut> = par::par_map_chunked(jobs, chunk, &shard_ids, |&i| {
-                    sim.shards[i]
-                        .lock()
-                        .expect("shard lock poisoned")
-                        .run_window(t0, t1, &sim.net)
-                });
-                let refs: Vec<&WindowOut> = outs.iter().collect();
-                fold_window(
-                    &refs,
-                    &mut outcome.digest,
-                    cfg.record_events,
-                    &mut outcome.events,
-                );
-                for (i, out) in outs.into_iter().enumerate() {
-                    for d in out.deliveries {
-                        pending.push(Reverse(d));
+            if tally.drained + outcome.abandoned == sim.total_words {
+                // Every word is accounted for: delivered, or abandoned past
+                // its retry budget (a degraded completion, settled below).
+                return Ok(t0);
+            }
+            if sums.progress == 0 && sums.in_flight == 0 {
+                idle_windows += 1;
+                if idle_windows > idle_limit {
+                    if cfg.fault.is_active() {
+                        // Faults are the only legitimate way a run stops
+                        // short (words stranded behind dead links): close
+                        // the run with exact accounting instead of erroring.
+                        // A wedge without faults is an engine bug and stays
+                        // a hard error.
+                        return Ok(t0);
                     }
-                    credits_pending.extend(out.credits);
-                    progress += out.progress;
-                    drained += out.drained;
-                    queued += out.queued;
-                    stalls_w += out.stalls;
-                    shard_peaks[i] = shard_peaks[i].max(out.queued);
-                    outcome.flit_hops += out.flit_hops;
-                    outcome.dropped += out.dropped;
-                    outcome.corrupted += out.corrupted;
-                    outcome.retried += out.retried;
-                    outcome.abandoned += out.abandoned;
-                    outcome.cycles = outcome.cycles.max(out.last_drain);
+                    return Err(SimError::Deadlock {
+                        detail: format!(
+                            "engine idle for {idle_windows} windows with {} of {} words undelivered",
+                            sim.total_words - tally.drained,
+                            sim.total_words
+                        ),
+                        at: t0,
+                    });
                 }
+            } else {
+                idle_windows = 0;
             }
-            PendingQueue::Wheel(wheel) => {
-                par::par_map_chunked(jobs, chunk, &shard_ids, |&i| {
-                    sim.shards[i]
-                        .lock()
-                        .expect("shard lock poisoned")
-                        .run_window_in_place(t0, t1, &sim.net);
-                });
-                // The coordinator is the only thread running here; take all
-                // the guards at once so the stage-major fold can walk the
-                // shards three times without re-locking.
-                let guards: Vec<_> = sim
-                    .shards
-                    .iter()
-                    .map(|s| s.lock().expect("shard lock poisoned"))
-                    .collect();
-                {
-                    let refs: Vec<&WindowOut> = guards.iter().map(|g| &g.out).collect();
-                    fold_window(
-                        &refs,
-                        &mut outcome.digest,
-                        cfg.record_events,
-                        &mut outcome.events,
-                    );
-                }
-                for (i, shard) in guards.into_iter().enumerate() {
-                    let out = &shard.out;
-                    for &d in &out.deliveries {
-                        wheel.push(d.arrive, d);
-                    }
-                    credits_pending.extend_from_slice(&out.credits);
-                    progress += out.progress;
-                    drained += out.drained;
-                    queued += out.queued;
-                    stalls_w += out.stalls;
-                    shard_peaks[i] = shard_peaks[i].max(out.queued);
-                    outcome.flit_hops += out.flit_hops;
-                    outcome.dropped += out.dropped;
-                    outcome.corrupted += out.corrupted;
-                    outcome.retried += out.retried;
-                    outcome.abandoned += out.abandoned;
-                    outcome.cycles = outcome.cycles.max(out.last_drain);
-                }
-            }
+            t0 = t1;
         }
-        // One aggregate registry add per window for the quiet NIC FIFOs'
-        // fault stalls — identical totals to per-event counting, with the
-        // shards never touching the metrics mutex from the parallel region.
-        if stalls_w > 0 {
-            obs.count(memcomm_memsim::stats::fault_metric::INJECTED, stalls_w);
-        }
-        outcome.windows += 1;
-        outcome.peak_queue_depth = outcome.peak_queue_depth.max(pending.len() as u64 + queued);
-        if progress > 0 {
-            last_progress_t0 = t0;
-        }
-
-        if drained + outcome.abandoned == sim.total_words {
-            // Every word is accounted for: delivered, or abandoned past its
-            // retry budget (a degraded completion, settled below).
-            break;
-        }
-        if progress == 0 && pending.len() == 0 {
-            idle_windows += 1;
-            if idle_windows > idle_limit {
-                if cfg.fault.is_active() {
-                    // Faults are the only legitimate way a run stops short
-                    // (words stranded behind dead links): close the run with
-                    // exact accounting instead of erroring. A wedge without
-                    // faults is an engine bug and stays a hard error.
-                    break;
-                }
-                return Err(SimError::Deadlock {
-                    detail: format!(
-                        "engine idle for {idle_windows} windows with {} of {} words undelivered",
-                        sim.total_words - drained,
-                        sim.total_words
-                    ),
-                    at: t0,
-                });
-            }
-        } else {
-            idle_windows = 0;
-        }
-        t0 = t1;
-    }
+    })?;
+    let Tally {
+        drained,
+        shard_peaks,
+    } = tally;
 
     if drained < sim.total_words {
         outcome.degraded = Some(degraded_accounting(&sim, last_progress_t0));
@@ -840,9 +783,7 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
         outcome.flow_latency = merge_flow_latency(&sim, &obs);
     }
     if cfg.sample_every > 0 {
-        // The loop breaks before `t0 = t1`, so the final barrier boundary
-        // is `t0 + window`.
-        let tel = collect_telemetry(&sim, t0 + window);
+        let tel = collect_telemetry(&sim, t_last + window);
         if obs.is_enabled() {
             obs.count("engine.telemetry.ticks", tel.ticks);
             for (c, b) in tel.breakdown.iter().enumerate() {
@@ -972,7 +913,7 @@ fn collect_telemetry(sim: &Sim<'_>, final_t1: Cycle) -> Telemetry {
         link_from: sim.net.link_from.clone(),
         link_to: sim.net.link_to.clone(),
         link_busy_fp: vec![0; sim.net.link_to.len()],
-        node_occupancy: vec![0; sim.shard_of_node.len()],
+        node_occupancy: vec![0; sim.net.shard_of_node.len()],
         breakdown: Vec::new(),
     };
     let classes = sim

@@ -1,5 +1,7 @@
 //! Queue substrates of the engine: rank-ordered router queues (per-flow
-//! lanes or the reference heap) and the in-flight delivery record.
+//! lanes or the reference heap), the in-flight delivery record, and the
+//! time-ordered store of deliveries awaiting their arrival window (timing
+//! wheel or the reference heap).
 //!
 //! Everything here is ordering-critical: the differential tier
 //! (`tests/wheel_vs_heap.rs`) proves both router-queue substrates pop the
@@ -10,6 +12,7 @@ use std::collections::BinaryHeap;
 
 use memcomm_memsim::clock::Cycle;
 use memcomm_util::arena::{Arena, NIL};
+use memcomm_util::wheel::TimingWheel;
 
 /// Queued word waiting to transmit on a link. Orders by (rank, ready);
 /// `rank` is the word-major rotation of the globally unique `seq` (word
@@ -236,4 +239,57 @@ pub(crate) struct Delivery {
     pub wire_cycles: u64,
     /// Critical-path retry-backoff accumulator.
     pub backoff_cycles: u64,
+}
+
+/// A shard's in-flight deliveries — words bound for its nodes that have not
+/// arrived yet — under either scheduler. Each shard drains its own store at
+/// the opening of every window, in ascending `(arrive, seq)` order: the
+/// subsequence, for its nodes, of the global arrival order.
+pub(crate) enum PendingQueue {
+    /// The retired binary heap.
+    Heap(BinaryHeap<Reverse<Delivery>>),
+    /// The production cycle-bucketed wheel; deliveries are genuinely
+    /// time-keyed (a window releases everything below its end, tie-broken
+    /// by the unique `seq` inside [`Delivery`]'s derived order).
+    Wheel(TimingWheel<Delivery>),
+}
+
+impl PendingQueue {
+    /// A heap (`reference`) or a wheel covering `horizon` cycles.
+    pub fn new(reference: bool, horizon: Cycle) -> PendingQueue {
+        if reference {
+            PendingQueue::Heap(BinaryHeap::new())
+        } else {
+            PendingQueue::Wheel(TimingWheel::new(horizon))
+        }
+    }
+
+    pub fn len(&self) -> u64 {
+        match self {
+            PendingQueue::Heap(h) => h.len() as u64,
+            PendingQueue::Wheel(w) => w.len() as u64,
+        }
+    }
+
+    pub fn push(&mut self, d: Delivery) {
+        match self {
+            PendingQueue::Heap(h) => h.push(Reverse(d)),
+            PendingQueue::Wheel(w) => w.push(d.arrive, d),
+        }
+    }
+
+    /// Emits every delivery arriving before `t1` in ascending
+    /// `(arrive, seq)` order — the wheel's bucket order and the heap's pop
+    /// order agree.
+    pub fn drain_until(&mut self, t1: Cycle, mut emit: impl FnMut(Delivery)) {
+        match self {
+            PendingQueue::Heap(h) => {
+                while h.peek().is_some_and(|Reverse(d)| d.arrive < t1) {
+                    let Reverse(d) = h.pop().expect("peeked");
+                    emit(d);
+                }
+            }
+            PendingQueue::Wheel(w) => w.drain_until(t1, |_, d| emit(d)),
+        }
+    }
 }

@@ -15,7 +15,7 @@ use memcomm_memsim::nic::TimedFifo;
 use memcomm_obs::{Histogram, Series, SeriesKind};
 use memcomm_util::arena::Arena;
 
-use super::sched::{Delivery, QEntry, RouterQueue};
+use super::sched::{Delivery, PendingQueue, QEntry, RouterQueue};
 use super::{ClassBreakdown, EngineEvent};
 
 /// Ring capacity of every telemetry series: identical on all shards, so
@@ -80,8 +80,24 @@ pub(crate) struct Shard {
     /// Global index of each owned link, parallel to `links` (binary search).
     pub link_globals: Vec<u32>,
     pub ports: Vec<PortState>,
-    pub inbox: Vec<Delivery>,
-    pub credit_inbox: Vec<(u32, u8)>,
+    /// This shard's index.
+    pub id: u32,
+    /// Deliveries bound for this shard's nodes, awaiting their window.
+    pub pending: PendingQueue,
+    /// Shards this one exchanges words and credits with — itself and the
+    /// owners of the far ends of the links it owns or receives — ascending.
+    pub peers: Vec<u32>,
+    /// This window's deliveries bound for other shards, by destination
+    /// shard (deliveries to itself go straight into `pending`).
+    pub outbox: Vec<Vec<Delivery>>,
+    /// Deliveries from other shards, by source shard, swapped in at the
+    /// barrier from their outboxes.
+    pub inbox: Vec<Vec<Delivery>>,
+    /// Upstream buffer credits freed this window, `(local link, vc)` by
+    /// the shard owning the link (itself included).
+    pub credit_outbox: Vec<Vec<(u32, u8)>>,
+    /// Credits for this shard's links, by the shard that freed them.
+    pub credit_inbox: Vec<Vec<(u32, u8)>>,
     /// Entry storage shared by every lane queue of the shard (unused by the
     /// reference scheduler). Its live count is exactly the shard's queued
     /// words.
@@ -215,14 +231,12 @@ pub(crate) fn queued_words(
     }
 }
 
-/// One window's output, kept stage-split so the coordinator can fold the
-/// event stream in canonical (stage, site) order across all shards — the
-/// order every partition produces, which is what makes the digest
-/// independent of the shard count.
+/// One window's events and counters, kept stage-split so the coordinator
+/// can fold the event stream in canonical (stage, site) order across all
+/// shards — the order every partition produces, which is what makes the
+/// digest independent of the shard count.
 #[derive(Default)]
 pub(crate) struct WindowOut {
-    pub deliveries: Vec<Delivery>,
-    pub credits: Vec<(u32, u8)>,
     /// Injection events, ascending port id.
     pub inject_events: Vec<EngineEvent>,
     /// Link transit events (hops and fault drops interleaved per link),
@@ -242,6 +256,9 @@ pub(crate) struct WindowOut {
     pub last_drain: Cycle,
     /// Words sitting in this shard's router/ejection queues at window end.
     pub queued: u64,
+    /// Words in flight at window end that this shard holds: its pending
+    /// deliveries plus those in its outboxes.
+    pub in_flight: u64,
     /// Outage-window encounters this window (mirrors the per-link counts).
     pub outaged: u64,
     /// NIC fault stalls fired this window, diffed off the quiet FIFOs'
@@ -253,8 +270,6 @@ pub(crate) struct WindowOut {
 impl WindowOut {
     /// Resets for the next window, keeping buffer capacities.
     pub fn clear(&mut self) {
-        self.deliveries.clear();
-        self.credits.clear();
         self.inject_events.clear();
         self.link_events.clear();
         self.eject_events.clear();
@@ -267,6 +282,7 @@ impl WindowOut {
         self.abandoned = 0;
         self.last_drain = 0;
         self.queued = 0;
+        self.in_flight = 0;
         self.outaged = 0;
         self.stalls = 0;
     }

@@ -14,22 +14,14 @@ use memcomm_memsim::fault::{site, LinkFault};
 use memcomm_memsim::nic::TimedFifo;
 
 use super::build::Net;
-use super::sched::{word_rank, QEntry};
+use super::sched::{word_rank, Delivery, QEntry};
 use super::shard::{queued_words, Shard, WindowOut, BUSY_ONE};
 use super::{EngineEvent, EventKind};
 
 impl Shard {
-    /// One window on the reference path: fresh output buffers every window,
-    /// exactly as the retired scheduler allocated them.
-    pub(crate) fn run_window(&mut self, t0: Cycle, t1: Cycle, net: &Net) -> WindowOut {
-        let mut out = WindowOut::default();
-        self.window_core(t0, t1, net, &mut out);
-        out
-    }
-
-    /// One window on the production path: reuses the shard's persistent
+    /// One window, under either scheduler: reuses the shard's persistent
     /// output buffers (the coordinator drains them at the barrier).
-    pub(crate) fn run_window_in_place(&mut self, t0: Cycle, t1: Cycle, net: &Net) {
+    pub(crate) fn run_window(&mut self, t0: Cycle, t1: Cycle, net: &Net) {
         let mut out = std::mem::take(&mut self.out);
         out.clear();
         self.window_core(t0, t1, net, &mut out);
@@ -51,7 +43,12 @@ impl Shard {
             links,
             link_globals,
             ports,
+            id,
+            pending,
+            peers,
+            outbox,
             inbox,
+            credit_outbox,
             credit_inbox,
             arena,
             lanes: use_lanes,
@@ -63,17 +60,25 @@ impl Shard {
             ..
         } = self;
         let node_lo = *node_lo;
+        let id = *id;
 
         // Credits freed during the previous window become usable now.
-        for (local, vc) in credit_inbox.drain(..) {
-            links[local as usize].credits[vc as usize] += 1;
+        for &s in peers.iter() {
+            for (local, vc) in credit_inbox[s as usize].drain(..) {
+                links[local as usize].credits[vc as usize] += 1;
+            }
         }
 
-        // 1. Deliveries due this window (coordinator pre-sorted by
-        // (arrive, seq)): file each word into its next link queue, or into
-        // the destination's ejection queue. The word keeps occupying its
-        // upstream (via_link, vc) buffer until it moves on.
-        for d in inbox.iter().copied() {
+        // 1. Deliveries due this window, in ascending (arrive, seq) order:
+        // file each word into its next link queue, or into the destination's
+        // ejection queue. The word keeps occupying its upstream
+        // (via_link, vc) buffer until it moves on.
+        for &s in peers.iter() {
+            for d in inbox[s as usize].drain(..) {
+                pending.push(d);
+            }
+        }
+        pending.drain_until(t1, |d| {
             let flow = &net.flows[(d.seq >> 32) as usize];
             let next = d.hop as usize + 1;
             if next == flow.hops.len() {
@@ -118,8 +123,7 @@ impl Shard {
                     arena,
                 );
             }
-        }
-        inbox.clear();
+        });
 
         // 2. Source pump: memory feeds tx at its own pace, blocked by a full
         // FIFO (the processor stalls — the analytic model's port term).
@@ -295,7 +299,7 @@ impl Shard {
                         out.progress += 1;
                         if e.tries >= net.retry.max_retries {
                             if e.prev_link != u32::MAX {
-                                out.credits.push((e.prev_link, e.prev_vc));
+                                return_credit(credit_outbox, net, e.prev_link, e.prev_vc);
                             }
                             out.abandoned += 1;
                             continue;
@@ -333,7 +337,7 @@ impl Shard {
                 }
                 let arrive = (l.free.ceil() as Cycle) + net.latency;
                 if e.prev_link != u32::MAX {
-                    out.credits.push((e.prev_link, e.prev_vc));
+                    return_credit(credit_outbox, net, e.prev_link, e.prev_vc);
                 }
                 out.link_events.push(EngineEvent {
                     time: start.floor() as Cycle,
@@ -342,11 +346,12 @@ impl Shard {
                     vc: vc as u8,
                     seq: e.seq,
                 });
-                out.deliveries.push(super::sched::Delivery {
+                let to_node = net.link_to[l.global as usize];
+                let d = Delivery {
                     arrive,
                     seq: e.seq,
                     hop: e.hop,
-                    to_node: net.link_to[l.global as usize],
+                    to_node,
                     via_link: l.global,
                     vc: vc as u8,
                     t_inject: e.t_inject,
@@ -358,7 +363,13 @@ impl Shard {
                         .wire_cycles
                         .saturating_add(arrive.saturating_sub(start.floor() as Cycle)),
                     backoff_cycles: e.backoff_cycles,
-                });
+                };
+                // Arrivals land at or after this window's end, so a word
+                // staying in this shard can join `pending` right away.
+                match net.shard_of_node[to_node as usize] {
+                    dest if dest == id => pending.push(d),
+                    dest => outbox[dest as usize].push(d),
+                }
                 out.flit_hops += 1;
                 out.progress += 1;
             }
@@ -419,7 +430,7 @@ impl Shard {
                 rx[local]
                     .push(t_in, net.word(e.seq))
                     .expect("arbitration checked rx had space");
-                out.credits.push((e.prev_link, e.prev_vc));
+                return_credit(credit_outbox, net, e.prev_link, e.prev_vc);
                 out.eject_events.push(EngineEvent {
                     time: start.floor() as Cycle,
                     kind: EventKind::Eject,
@@ -450,6 +461,11 @@ impl Shard {
 
         // The shard's contribution to the barrier's backlog gauge.
         out.queued = queued_words(*use_lanes, arena, links, eject);
+        out.in_flight = pending.len()
+            + peers
+                .iter()
+                .map(|&s| outbox[s as usize].len() as u64)
+                .sum::<u64>();
 
         // NIC stall delta for the coordinator's once-per-window registry
         // flush (the FIFOs are armed quiet, so this is the only place the
@@ -492,4 +508,11 @@ impl Shard {
             tel.sample(tx, rx, eject, links, arena, *lanes);
         }
     }
+}
+
+/// Queues the credit for `link`'s `vc` buffer to the shard owning the link;
+/// it becomes usable there at the next window.
+fn return_credit(credit_outbox: &mut [Vec<(u32, u8)>], net: &Net, link: u32, vc: u8) {
+    let (owner, local) = net.link_owner[link as usize];
+    credit_outbox[owner as usize].push((local, vc));
 }

@@ -214,3 +214,60 @@ fn xor_all_to_all_conserves_flit_hops() {
     let total_hops: u64 = out.rounds.iter().map(|r| r.flit_hops).sum();
     assert_eq!(total_hops, expected_hops, "flit-hop conservation");
 }
+
+/// The persistent worker pool carries shard state — pending arrivals,
+/// in-flight mail, credits — from window to window without re-spawning.
+/// A single run of well over a thousand windows must produce the same
+/// event stream, digest and counters at every worker count, shard count
+/// and scheduler as the one-shard serial run.
+#[test]
+fn long_runs_are_identical_across_jobs_shards_and_schedulers() {
+    let topo = Topology::torus(&[4, 4]);
+    // A shift pattern plus a hotspot on node 0: the hotspot's ejection
+    // port keeps the run going long after the shift traffic has drained.
+    let mut flows: Vec<Flow> = (0..16)
+        .map(|i| Flow {
+            src: i,
+            dst: (i + 5) % 16,
+            bytes: 256 * 8,
+        })
+        .collect();
+    flows.extend((1..16).map(|i| Flow {
+        src: i,
+        dst: 0,
+        bytes: 160 * 8,
+    }));
+    let link = LinkParams {
+        bytes_per_cycle: 8.0,
+        packet_words: 16,
+        header_bytes: 8,
+        adp_extra_bytes: 8,
+        latency_cycles: 2,
+        congestion: 1.0,
+    };
+    let run = |jobs: usize, shards: usize, reference: bool| {
+        let mut cfg = EngineConfig::new(link, NodeParams::default());
+        cfg.vc_slots = 4;
+        cfg.jobs = jobs;
+        cfg.shards = shards;
+        cfg.reference_scheduler = reference;
+        cfg.record_events = true;
+        run_flows(&topo, &flows, &cfg).expect("long run drains")
+    };
+    let base = run(1, 1, false);
+    assert!(base.windows > 1_000, "only {} windows", base.windows);
+    for reference in [false, true] {
+        for jobs in [1, 2, 3, 8] {
+            for shards in [0, 1, 5] {
+                let out = run(jobs, shards, reference);
+                let at = format!("jobs={jobs} shards={shards} reference={reference}");
+                assert_eq!(out.events, base.events, "{at}");
+                assert_eq!(out.digest, base.digest, "{at}");
+                assert_eq!(out.cycles, base.cycles, "{at}");
+                assert_eq!(out.windows, base.windows, "{at}");
+                assert_eq!(out.flit_hops, base.flit_hops, "{at}");
+                assert_eq!(out.peak_queue_depth, base.peak_queue_depth, "{at}");
+            }
+        }
+    }
+}
