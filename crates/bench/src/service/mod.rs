@@ -106,8 +106,28 @@ fn run_report(opts: &SweepOptions) -> Json {
 /// Executes one parsed request against the service state and returns the
 /// response document. Installs the shared cache and metrics handles for
 /// the duration, so nested sweeps adopt them (and `par_map` fan-outs
-/// propagate them into workers).
+/// propagate them into workers). A panic inside the dispatch becomes a
+/// typed `internal` error reply instead of tearing down the connection.
 pub fn dispatch(req: &Request, state: &ServiceState) -> Outcome {
+    catch_internal(state, || dispatch_request(req, state))
+}
+
+/// Runs `f`, turning a panic into an `internal` error reply (counted as an
+/// error like any other). The panic message still reaches stderr through
+/// the panic hook.
+fn catch_internal(state: &ServiceState, f: impl FnOnce() -> Outcome) -> Outcome {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|panic| {
+        let detail = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("dispatch panicked");
+        state.obs.count("service.errors", 1);
+        reply(proto::internal_error_response(detail))
+    })
+}
+
+fn dispatch_request(req: &Request, state: &ServiceState) -> Outcome {
     let _obs_guard = state.obs.install();
     let _memo_guard = memo::install(&state.cache);
     state.obs.count("service.requests.total", 1);
@@ -306,6 +326,23 @@ mod tests {
 
     fn state() -> ServiceState {
         ServiceState::new(MemoConfig::default(), 2)
+    }
+
+    #[test]
+    fn a_panicking_dispatch_is_an_internal_error_reply() {
+        let state = state();
+        let out = catch_internal(&state, || panic!("engine bug"));
+        assert_eq!(out.reply.get("kind").and_then(Json::as_str), Some("error"));
+        assert_eq!(
+            out.reply.get("code").and_then(Json::as_str),
+            Some("internal")
+        );
+        assert_eq!(
+            out.reply.get("error").and_then(Json::as_str),
+            Some("internal error: engine bug")
+        );
+        assert!(!out.shutdown);
+        assert_eq!(state.obs.counter("service.errors"), 1);
     }
 
     #[test]

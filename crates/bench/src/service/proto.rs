@@ -7,7 +7,8 @@
 //! protocol errors, so a typo'd client learns immediately instead of
 //! silently getting defaults. Responses echo a `kind` of their own; error
 //! responses are `{"kind": "error", "code": ..., "error": ...}` with the
-//! rendered [`SimError`] as the message.
+//! rendered [`SimError`] as the message (or, for `code: "internal"`, the
+//! message of a dispatch that panicked).
 //!
 //! Response bytes are a pure function of the request: a served `sweep` is
 //! the same [`crate::runner::FullReport::to_json`] rendering the batch
@@ -523,6 +524,16 @@ pub fn error_response(e: &SimError) -> Json {
         ("kind", Json::str("error")),
         ("code", Json::str(code)),
         ("error", Json::str(&e.to_string())),
+    ])
+}
+
+/// The reply to a dispatch that panicked: `code: "internal"` — a server
+/// bug, not a bad request or a failed simulation.
+pub fn internal_error_response(detail: &str) -> Json {
+    Json::obj([
+        ("kind", Json::str("error")),
+        ("code", Json::str("internal")),
+        ("error", Json::str(&format!("internal error: {detail}"))),
     ])
 }
 

@@ -76,6 +76,12 @@ pub enum SimError {
         /// Bytes the node memory holds in total.
         have_bytes: u64,
     },
+    /// A simulator's own bookkeeping failed an end-of-run consistency
+    /// check — a simulator bug, reported instead of a wrong result.
+    Invariant {
+        /// Which invariant broke, and how.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -110,6 +116,7 @@ impl fmt::Display for SimError {
                 f,
                 "node memory exhausted: need {need_bytes} bytes, have {have_bytes}"
             ),
+            SimError::Invariant { detail } => write!(f, "invariant violated: {detail}"),
         }
     }
 }

@@ -180,8 +180,18 @@ impl FaultPlan {
 
     /// Decides the fate of word `index` crossing the link at `site`.
     /// Retransmitted words get fresh indices (the link's attempt counter),
-    /// so a retry is a fresh draw, not a guaranteed repeat.
+    /// so a retry is a fresh draw, not a guaranteed repeat. A zero rate
+    /// never fires, so it answers without building the decider: inlined,
+    /// a fault-free plan costs the per-flit hot path one compare.
+    #[inline]
     pub fn link_fault(&self, site: u64, index: u64) -> Option<LinkFault> {
+        if self.cfg.rate <= 0.0 {
+            return None;
+        }
+        self.draw_link_fault(site, index)
+    }
+
+    fn draw_link_fault(&self, site: u64, index: u64) -> Option<LinkFault> {
         let mut rng = self.decider(site, index);
         if !self.fires(self.cfg.rate, &mut rng) {
             return None;
@@ -197,6 +207,9 @@ impl FaultPlan {
     /// Stall window (possibly zero) injected before opportunity `index` at
     /// a FIFO or engine `site`.
     pub fn stall_cycles(&self, site: u64, index: u64) -> Cycle {
+        if self.cfg.rate <= 0.0 {
+            return 0;
+        }
         let mut rng = self.decider(site, index.wrapping_add(0x5747_A11E));
         if !self.fires(self.cfg.rate, &mut rng) {
             return 0;

@@ -7,8 +7,7 @@
 //! no earlier than the pop that freed the slot, and a consumer never sees a
 //! word before the cycle it was pushed.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::clock::Cycle;
 
@@ -92,7 +91,11 @@ impl NetWord {
 #[derive(Debug, Clone)]
 pub struct TimedFifo {
     items: VecDeque<(Cycle, NetWord)>,
-    free_slots: BinaryHeap<Reverse<Cycle>>,
+    /// Pop stamps of the free slots, ascending, so a push takes the
+    /// earliest-freed slot from the front. Consumers pop in time order, so
+    /// a new stamp almost always belongs at the back; one that does not is
+    /// inserted in place, keeping this an exact min-queue.
+    free_slots: VecDeque<Cycle>,
     capacity: usize,
     pushed: u64,
     popped: u64,
@@ -111,7 +114,7 @@ impl TimedFifo {
         assert!(capacity >= 1, "fifo capacity must be at least 1");
         TimedFifo {
             items: VecDeque::with_capacity(capacity),
-            free_slots: (0..capacity).map(|_| Reverse(0)).collect(),
+            free_slots: vec![0; capacity].into(),
             capacity,
             pushed: 0,
             popped: 0,
@@ -177,7 +180,7 @@ impl TimedFifo {
     /// happened later). Returns `None` when every slot is occupied — the
     /// caller is blocked and must let the consumer run.
     pub fn push(&mut self, t: Cycle, word: NetWord) -> Option<Cycle> {
-        let Reverse(slot_free) = self.free_slots.pop()?;
+        let slot_free = self.free_slots.pop_front()?;
         let stall = match &self.faults {
             Some((plan, s)) => plan.stall_cycles(*s, self.pushed),
             None => 0,
@@ -203,7 +206,12 @@ impl TimedFifo {
     pub fn pop(&mut self, t: Cycle) -> Option<(Cycle, NetWord)> {
         let (avail, word) = self.items.pop_front()?;
         let at = t.max(avail);
-        self.free_slots.push(Reverse(at));
+        if self.free_slots.back().is_none_or(|&last| last <= at) {
+            self.free_slots.push_back(at);
+        } else {
+            let pos = self.free_slots.partition_point(|&s| s <= at);
+            self.free_slots.insert(pos, at);
+        }
         self.popped += 1;
         Some((at, word))
     }
@@ -239,6 +247,23 @@ mod tests {
         // The freed slot is stamped with the pop time: a retry from an
         // earlier producer clock lands at 50.
         assert_eq!(f.push(10, w(3)), Some(50));
+    }
+
+    #[test]
+    fn pushes_take_the_earliest_freed_slot() {
+        // Pops out of time order: the later pop frees its slot first in
+        // time, and the next push must land on it.
+        let mut f = TimedFifo::new(3);
+        for i in 0..3 {
+            f.push(0, w(i)).unwrap();
+        }
+        assert_eq!(f.pop(50).unwrap().0, 50);
+        assert_eq!(f.pop(20).unwrap().0, 20);
+        assert_eq!(f.pop(30).unwrap().0, 30);
+        assert_eq!(f.push(0, w(3)), Some(20));
+        assert_eq!(f.push(0, w(4)), Some(30));
+        assert_eq!(f.push(0, w(5)), Some(50));
+        assert_eq!(f.push(0, w(6)), None);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! VC labels, lane assignment, and the load-balanced N-way shard partition.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::error::{SimError, SimResult};
@@ -56,8 +57,9 @@ pub(crate) struct Net {
     pub outages: bool,
     /// Flow index → slot in its draining shard's per-flow ledger.
     pub drain_slot: Vec<u32>,
-    /// Record inject→eject latency per class at the ejection ports.
-    pub record_latency: bool,
+    /// Per-word latency ledger, present exactly when the run records
+    /// inject→eject latency per class at the ejection ports.
+    pub ledger: Option<Ledger>,
     /// Source node of each link, parallel to `link_to` (the heatmap keys
     /// utilization by link endpoints).
     pub link_from: Vec<u32>,
@@ -77,6 +79,107 @@ impl Net {
         } else {
             NetWord::data(seq)
         }
+    }
+
+    /// Local index of global `link` in `shard`, which must own it.
+    pub fn local_link(&self, shard: u32, link: u32) -> usize {
+        let (owner, local) = self.link_owner[link as usize];
+        assert_eq!(
+            owner, shard,
+            "word routed to a shard that does not own link {link}"
+        );
+        local as usize
+    }
+}
+
+/// Which critical-path accumulator a [`Ledger::charge`] adds to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Charge {
+    /// Waiting in router and ejection queues.
+    Queue = 0,
+    /// On wires: serialization, fault delay and link latency.
+    Wire = 1,
+    /// Parked in retry backoff after fault drops.
+    Backoff = 2,
+}
+
+/// The per-word latency ledger, a side table keyed by dense word id
+/// (`flow_base[flow] + word`) so that queue entries and deliveries need
+/// not carry it through every hop. Allocated only when the run records
+/// flow latency; the three attribution accumulators only when sampling is
+/// on as well. It is sized by every word of the run, not by the words in
+/// flight: 8 bytes a word, 32 with the accumulators (DESIGN.md §12.10).
+///
+/// Shards update it through a shared `&Net` with relaxed atomic loads and
+/// stores, no read-modify-write: a word sits in exactly one shard at a
+/// time, so each slot has one writer at a time, and a word changes shards
+/// only across a window barrier. The pool's handoff orders that barrier
+/// (the finishing worker's `AcqRel` decrement of the busy count, read with
+/// `Acquire` by the coordinator, whose `Release` phase bump the next
+/// window's workers read with `Acquire`), as do the shard mutexes, so
+/// every store of one window happens before every load of the next.
+pub(crate) struct Ledger {
+    /// First dense word id of each flow.
+    flow_base: Vec<u64>,
+    /// Cycle each word left its injection port.
+    t_inject: Vec<AtomicU64>,
+    /// Queue, wire and backoff cycles per word (empty unless sampling).
+    charges: Vec<[AtomicU64; 3]>,
+}
+
+impl Ledger {
+    fn new(flows: &[FlowPath], attribute: bool) -> Ledger {
+        let mut flow_base = Vec::with_capacity(flows.len());
+        let mut words = 0u64;
+        for f in flows {
+            flow_base.push(words);
+            words += u64::from(f.words);
+        }
+        let words = words as usize;
+        Ledger {
+            flow_base,
+            t_inject: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            charges: if attribute {
+                (0..words).map(|_| Default::default()).collect()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    fn id(&self, seq: u64) -> usize {
+        (self.flow_base[(seq >> 32) as usize] + (seq & 0xffff_ffff)) as usize
+    }
+
+    /// Whether the attribution accumulators are kept.
+    pub fn attributes(&self) -> bool {
+        !self.charges.is_empty()
+    }
+
+    pub fn set_inject(&self, seq: u64, t: Cycle) {
+        self.t_inject[self.id(seq)].store(t, Ordering::Relaxed);
+    }
+
+    pub fn t_inject(&self, seq: u64) -> Cycle {
+        self.t_inject[self.id(seq)].load(Ordering::Relaxed)
+    }
+
+    /// Adds `cycles` to one of the word's accumulators, saturating; a
+    /// no-op unless the run attributes.
+    pub fn charge(&self, seq: u64, kind: Charge, cycles: u64) {
+        if let Some(slots) = self.charges.get(self.id(seq)) {
+            let slot = &slots[kind as usize];
+            slot.store(
+                slot.load(Ordering::Relaxed).saturating_add(cycles),
+                Ordering::Relaxed,
+            );
+        }
+    }
+
+    /// The word's `[queue, wire, backoff]` charges so far.
+    pub fn charges(&self, seq: u64) -> [u64; 3] {
+        let slots = &self.charges[self.id(seq)];
+        slots.each_ref().map(|a| a.load(Ordering::Relaxed))
     }
 }
 
@@ -337,7 +440,6 @@ pub(crate) fn build_sim<'a>(
             drain_free: Vec::new(),
             eject: Vec::new(),
             links: Vec::new(),
-            link_globals: Vec::new(),
             ports: Vec::new(),
             id: id as u32,
             pending: PendingQueue::new(reference, horizon),
@@ -431,7 +533,6 @@ pub(crate) fn build_sim<'a>(
             outage_mark: 0,
             busy_fp: 0,
         });
-        shards[s].link_globals.push(gi as u32);
         link_owner.push((s as u32, local));
         let t = shard_of_node[l.to];
         shards[s].peers.push(t);
@@ -460,6 +561,9 @@ pub(crate) fn build_sim<'a>(
     }
 
     let wt = cfg.word_cycles();
+    let ledger = cfg
+        .record_latency
+        .then(|| Ledger::new(&paths, cfg.sample_every > 0));
     let net = Net {
         flows: paths,
         link_to: links.iter().map(|l| l.to as u32).collect(),
@@ -472,7 +576,7 @@ pub(crate) fn build_sim<'a>(
         retry: cfg.retry,
         outages: cfg.fault.has_link_outages(),
         drain_slot,
-        record_latency: cfg.record_latency,
+        ledger,
         link_from: links.iter().map(|l| l.from as u32).collect(),
         sample_every: cfg.sample_every,
         shard_of_node,

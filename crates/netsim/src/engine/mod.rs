@@ -550,8 +550,9 @@ pub fn scaled_topology(base: &Topology, nodes: usize) -> SimResult<Topology> {
 /// Flows with `src == dst` or zero bytes never enter the network and are
 /// skipped. Returns [`SimError::Deadlock`] if the network stops making
 /// progress with words still in flight, [`SimError::Wedged`] /
-/// [`SimError::CycleBudget`] when the watchdog limits trip, and
-/// [`SimError::Protocol`] for invalid flow sets.
+/// [`SimError::CycleBudget`] when the watchdog limits trip,
+/// [`SimError::Protocol`] for invalid flow sets, and [`SimError::Invariant`]
+/// if the run's own bookkeeping does not add up at the end.
 pub fn run_flows(topo: &Topology, flows: &[Flow], cfg: &EngineConfig) -> SimResult<EngineOutcome> {
     let sim = build_sim(topo, flows, cfg)?;
     run_sim(sim)
@@ -775,6 +776,7 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
         drained,
         shard_peaks,
     } = tally;
+    check_invariants(&sim, &outcome, drained)?;
 
     if drained < sim.total_words {
         outcome.degraded = Some(degraded_accounting(&sim, last_progress_t0));
@@ -827,6 +829,79 @@ fn run_sim(sim: Sim<'_>) -> SimResult<EngineOutcome> {
     }
     obs.span("engine", "run_flows", 0, outcome.cycles);
     Ok(outcome)
+}
+
+/// End-of-run consistency checks, O(links + flows): every drop was retried
+/// or abandoned, the per-flow drain ledger agrees with the barrier's
+/// running count, no word is counted twice, and — on a complete,
+/// non-degraded run — every buffer credit is home: held by its link or in
+/// the mail that returns it at the next window, and nothing else in
+/// flight. A violation is an engine bug, surfaced as
+/// [`SimError::Invariant`] rather than a wrong number.
+fn check_invariants(sim: &Sim<'_>, outcome: &EngineOutcome, drained: u64) -> SimResult<()> {
+    let broken = |detail: String| Err(SimError::Invariant { detail });
+    if outcome.dropped != outcome.retried + outcome.abandoned {
+        return broken(format!(
+            "{} drops but {} retries + {} abandoned",
+            outcome.dropped, outcome.retried, outcome.abandoned
+        ));
+    }
+    let mut ledger = 0u64;
+    for s in &sim.shards {
+        ledger += s
+            .lock()
+            .expect("shard lock poisoned")
+            .drained_flows
+            .iter()
+            .sum::<u64>();
+    }
+    if ledger != drained {
+        return broken(format!(
+            "per-flow ledger drained {ledger} words, the barrier counted {drained}"
+        ));
+    }
+    if drained + outcome.abandoned > sim.total_words {
+        return broken(format!(
+            "{drained} drained + {} abandoned exceeds {} words",
+            outcome.abandoned, sim.total_words
+        ));
+    }
+    if drained < sim.total_words {
+        // Degraded: stranded words still hold credits.
+        return Ok(());
+    }
+    let depth = sim.cfg.vc_slots;
+    for s in &sim.shards {
+        let shard = s.lock().expect("shard lock poisoned");
+        if shard
+            .outbox
+            .iter()
+            .chain(&shard.inbox)
+            .any(|m| !m.is_empty())
+            || shard.credit_outbox.iter().any(|m| !m.is_empty())
+        {
+            return broken(format!(
+                "shard {} has mail left after a complete run",
+                shard.id
+            ));
+        }
+        let mut mailed = vec![[0u32; 2]; shard.links.len()];
+        for &(local, vc) in shard.credit_inbox.iter().flatten() {
+            mailed[local as usize][usize::from(vc)] += 1;
+        }
+        for (l, mail) in shard.links.iter().zip(&mailed) {
+            for (vc, (&credits, &mailed)) in l.credits.iter().zip(mail).enumerate() {
+                let held = credits + mailed;
+                if held != depth {
+                    return broken(format!(
+                        "link {} vc {vc} ends with {held} of {depth} credits",
+                        l.global
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Settles the per-flow delivery ledger and per-link outage counters into
@@ -931,8 +1006,8 @@ fn collect_telemetry(sim: &Sim<'_>, final_t1: Cycle) -> Telemetry {
         for (b, sb) in tel.breakdown.iter_mut().zip(&shard.lat_sums) {
             b.merge(sb);
         }
-        for (li, &g) in shard.link_globals.iter().enumerate() {
-            tel.link_busy_fp[g as usize] = shard.links[li].busy_fp;
+        for l in &shard.links {
+            tel.link_busy_fp[l.global as usize] = l.busy_fp;
         }
         let st = shard
             .telemetry
@@ -1509,6 +1584,48 @@ mod tests {
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.events, b.events);
         assert_eq!(a.cycles, b.cycles);
+    }
+
+    #[test]
+    fn a_stray_credit_is_an_invariant_error() {
+        // One credit too many on one link: the run itself completes (a
+        // spare slot never blocks anything), but the end-of-run check must
+        // refuse to report it.
+        let topo = Topology::torus(&[4]);
+        let flows = traffic::cyclic_shift(&topo, 1, 16 * 8);
+        let cfg = small_cfg();
+        let sim = build_sim(&topo, &flows, &cfg).unwrap();
+        sim.shards[0].lock().unwrap().links[0].credits[0] += 1;
+        match run_sim(sim) {
+            Err(SimError::Invariant { detail }) => {
+                assert!(detail.contains("credits"), "{detail}")
+            }
+            other => panic!("expected an invariant error, got {other:?}"),
+        }
+        // Untouched, the same run passes its own checks.
+        assert!(run_flows(&topo, &flows, &cfg).unwrap().degraded.is_none());
+    }
+
+    #[test]
+    fn latency_ledger_is_allocated_only_on_request() {
+        let topo = Topology::torus(&[4]);
+        let flows = traffic::cyclic_shift(&topo, 1, 16 * 8);
+        let mut cfg = small_cfg();
+        cfg.sample_every = 16;
+        let sim = build_sim(&topo, &flows, &cfg).unwrap();
+        assert!(sim.net.ledger.is_none(), "no flow latency, no side table");
+        cfg.record_latency = true;
+        cfg.sample_every = 0;
+        let sim = build_sim(&topo, &flows, &cfg).unwrap();
+        let ledger = sim
+            .net
+            .ledger
+            .as_ref()
+            .expect("flow latency needs the table");
+        assert!(!ledger.attributes(), "no sampling, no accumulators");
+        cfg.sample_every = 16;
+        let sim = build_sim(&topo, &flows, &cfg).unwrap();
+        assert!(sim.net.ledger.as_ref().unwrap().attributes());
     }
 
     #[test]

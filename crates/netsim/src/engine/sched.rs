@@ -8,22 +8,27 @@
 //! same entries in the same order, case by case.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use memcomm_memsim::clock::Cycle;
 use memcomm_util::arena::{Arena, NIL};
 use memcomm_util::wheel::TimingWheel;
 
-/// Queued word waiting to transmit on a link. Orders by (rank, ready);
-/// `rank` is the word-major rotation of the globally unique `seq` (word
-/// index in the high bits), so a backlogged link interleaves competing
-/// flows word by word — the deterministic analogue of a router's
-/// round-robin arbiter. Arrival-order service would instead let the flow
-/// nearest the bottleneck convoy hundreds of words ahead, starving the
-/// links downstream of the other flows' turns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+/// Queued word waiting to transmit on a link. Orders by (rank, ready),
+/// where the rank is [`word_rank`] of the globally unique `seq` (word index
+/// in the high bits), so a backlogged link interleaves competing flows word
+/// by word — the deterministic analogue of a router's round-robin arbiter.
+/// Arrival-order service would instead let the flow nearest the bottleneck
+/// convoy hundreds of words ahead, starving the links downstream of the
+/// other flows' turns.
+///
+/// The rank is computed at compare time rather than stored, and the
+/// critical-path ledgers live in the run's side table
+/// ([`Ledger`](super::build::Ledger)), keeping the entry at 32 bytes: every
+/// queue push, pop and arena slot copies it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct QEntry {
-    pub rank: u64,
     pub ready: Cycle,
     pub seq: u64,
     pub hop: u16,
@@ -35,19 +40,32 @@ pub(crate) struct QEntry {
     /// policy abandons the word once the budget runs out. Trails the
     /// ordering fields, so it never perturbs arbitration.
     pub tries: u32,
-    /// Cycle the word left its injection port (for inject→eject latency).
-    pub t_inject: Cycle,
-    /// Critical-path attribution: cycles spent waiting in router/ejection
-    /// queues so far. Like `tries`, these accumulators trail the ordering
-    /// fields — they ride along without perturbing arbitration, and the
-    /// charges telescope exactly: `ready` is always the word's previous
-    /// milestone, so summing the floor-differences reconstructs the full
-    /// inject→eject latency with no rounding gap.
-    pub queue_cycles: u64,
-    /// Attribution: cycles on wires (serialization, fault delay, latency).
-    pub wire_cycles: u64,
-    /// Attribution: cycles parked in retry backoff after fault drops.
-    pub backoff_cycles: u64,
+}
+
+impl QEntry {
+    fn key(&self) -> (u64, Cycle, u64, u16, u32, u8, u32) {
+        (
+            word_rank(self.seq),
+            self.ready,
+            self.seq,
+            self.hop,
+            self.prev_link,
+            self.prev_vc,
+            self.tries,
+        )
+    }
+}
+
+impl Ord for QEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl PartialOrd for QEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Word-major arbitration rank: `seq` packs `flow << 32 | word`, so the
@@ -100,10 +118,10 @@ impl LaneQueue {
         let slot = &mut self.lanes[lane as usize];
         if slot.0 == NIL {
             *slot = (idx, idx);
-            self.heads.push(Reverse((e.rank, lane)));
+            self.heads.push(Reverse((word_rank(e.seq), lane)));
         } else {
             debug_assert!(
-                arena.get(slot.1).rank < e.rank,
+                word_rank(arena.get(slot.1).seq) < word_rank(e.seq),
                 "lane rank monotonicity violated"
             );
             arena.set_next(slot.1, idx);
@@ -121,7 +139,7 @@ impl LaneQueue {
             arena.set_next(idx, slot.0);
         }
         slot.0 = idx;
-        self.heads.push(Reverse((e.rank, lane)));
+        self.heads.push(Reverse((word_rank(e.seq), lane)));
         self.len += 1;
     }
 
@@ -129,7 +147,7 @@ impl LaneQueue {
     fn settle(&mut self, arena: &Arena<QEntry>) {
         while let Some(&Reverse((rank, lane))) = self.heads.peek() {
             let head = self.lanes[lane as usize].0;
-            if head != NIL && arena.get(head).rank == rank {
+            if head != NIL && word_rank(arena.get(head).seq) == rank {
                 return;
             }
             self.heads.pop();
@@ -142,18 +160,27 @@ impl LaneQueue {
         Some(*arena.get(self.lanes[lane as usize].0))
     }
 
+    /// Pops the head [`LaneQueue::peek`] just returned: the peek settled
+    /// the head heap, so its top is live and needs no second check.
     fn pop(&mut self, arena: &mut Arena<QEntry>) -> QEntry {
-        self.settle(arena);
-        let Reverse((_, lane)) = self.heads.pop().expect("pop on an empty router queue");
+        let mut top = self.heads.peek_mut().expect("pop on an empty router queue");
+        let Reverse((rank, lane)) = *top;
         let slot = &mut self.lanes[lane as usize];
         let head = slot.0;
+        debug_assert!(
+            head != NIL && word_rank(arena.get(head).seq) == rank,
+            "pop without a settling peek: the top of the head heap is stale"
+        );
         let next = arena.next(head);
         let e = arena.free(head);
         slot.0 = next;
         if next == NIL {
             slot.1 = NIL;
+            PeekMut::pop(top);
         } else {
-            self.heads.push(Reverse((arena.get(next).rank, lane)));
+            // The lane's next word replaces its head in place: one sift
+            // instead of a pop and a push.
+            *top = Reverse((word_rank(arena.get(next).seq), lane));
         }
         self.len -= 1;
         e
@@ -185,6 +212,10 @@ impl RouterQueue {
         }
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Files a word that arrived over the network or off its injection
     /// port; lane mode appends (per-flow arrivals are rank-ascending).
     pub fn push_arrival(&mut self, lane: u32, e: QEntry, arena: &mut Arena<QEntry>) {
@@ -211,6 +242,8 @@ impl RouterQueue {
         }
     }
 
+    /// Removes the entry the last [`RouterQueue::peek`] returned; callers
+    /// always peek first, and nothing may touch the queue in between.
     pub fn pop(&mut self, arena: &mut Arena<QEntry>) -> QEntry {
         match self {
             RouterQueue::Heap(h) => h.pop().expect("pop on an empty router queue").0,
@@ -221,6 +254,7 @@ impl RouterQueue {
 
 /// A word in flight between windows: transmitted during one window,
 /// delivered at the barrier opening the window containing `arrive`.
+/// Orders by `(arrive, seq)`, unique per word; the rest never breaks a tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Delivery {
     pub arrive: Cycle,
@@ -229,16 +263,6 @@ pub(crate) struct Delivery {
     pub to_node: u32,
     pub via_link: u32,
     pub vc: u8,
-    /// Injection cycle carried end-to-end (trails the `(arrive, seq)`
-    /// ordering, which stays unique and unchanged).
-    pub t_inject: Cycle,
-    /// Critical-path queue-wait accumulator, carried across the barrier
-    /// (trailing, like `t_inject`).
-    pub queue_cycles: u64,
-    /// Critical-path wire accumulator.
-    pub wire_cycles: u64,
-    /// Critical-path retry-backoff accumulator.
-    pub backoff_cycles: u64,
 }
 
 /// A shard's in-flight deliveries — words bound for its nodes that have not
@@ -291,5 +315,37 @@ impl PendingQueue {
             }
             PendingQueue::Wheel(w) => w.drain_until(t1, |_, d| emit(d)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hot_path_entries_stay_within_32_bytes() {
+        // Every hop copies a QEntry (queue + arena slot) and a Delivery
+        // (outbox + arrival store); a new field here costs every flit.
+        assert!(std::mem::size_of::<QEntry>() <= 32);
+        assert!(std::mem::size_of::<Delivery>() <= 32);
+    }
+
+    #[test]
+    fn entries_order_by_word_rank_first() {
+        // Word 0 of flow 5 outranks word 1 of flow 0, whatever the ready
+        // cycles say.
+        let a = QEntry {
+            ready: 100,
+            seq: 5 << 32,
+            ..QEntry::default()
+        };
+        let b = QEntry {
+            ready: 0,
+            seq: 1,
+            ..QEntry::default()
+        };
+        assert!(a < b);
+        let c = QEntry { ready: 101, ..a };
+        assert!(a < c, "ready breaks rank ties");
     }
 }

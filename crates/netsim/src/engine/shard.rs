@@ -75,10 +75,9 @@ pub(crate) struct Shard {
     /// Words awaiting the ejection port (same word-major order as links),
     /// per local node.
     pub eject: Vec<RouterQueue>,
-    /// Owned links, ascending global index.
+    /// Owned links, ascending global index; `Net::link_owner` maps a
+    /// global index to its slot here.
     pub links: Vec<LinkState>,
-    /// Global index of each owned link, parallel to `links` (binary search).
-    pub link_globals: Vec<u32>,
     pub ports: Vec<PortState>,
     /// This shard's index.
     pub id: u32,

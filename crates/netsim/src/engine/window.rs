@@ -13,7 +13,7 @@ use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::fault::{site, LinkFault};
 use memcomm_memsim::nic::TimedFifo;
 
-use super::build::Net;
+use super::build::{Charge, Net};
 use super::sched::{word_rank, Delivery, QEntry};
 use super::shard::{queued_words, Shard, WindowOut, BUSY_ONE};
 use super::{EngineEvent, EventKind};
@@ -41,7 +41,6 @@ impl Shard {
             drain_free,
             eject,
             links,
-            link_globals,
             ports,
             id,
             pending,
@@ -61,6 +60,7 @@ impl Shard {
         } = self;
         let node_lo = *node_lo;
         let id = *id;
+        let ledger = net.ledger.as_ref();
 
         // Credits freed during the previous window become usable now.
         for &s in peers.iter() {
@@ -86,39 +86,26 @@ impl Shard {
                 eject[local].push_arrival(
                     flow.eject_lane,
                     QEntry {
-                        rank: word_rank(d.seq),
                         ready: d.arrive,
                         seq: d.seq,
                         hop: d.hop,
                         prev_link: d.via_link,
                         prev_vc: d.vc,
                         tries: 0,
-                        t_inject: d.t_inject,
-                        queue_cycles: d.queue_cycles,
-                        wire_cycles: d.wire_cycles,
-                        backoff_cycles: d.backoff_cycles,
                     },
                     arena,
                 );
             } else {
                 let h = flow.hops[next];
-                let li = link_globals
-                    .binary_search(&h.link)
-                    .expect("delivery routed to a shard that does not own the link");
-                links[li].queues[usize::from(h.vc)].push_arrival(
+                links[net.local_link(id, h.link)].queues[usize::from(h.vc)].push_arrival(
                     h.lane,
                     QEntry {
-                        rank: word_rank(d.seq),
                         ready: d.arrive,
                         seq: d.seq,
                         hop: next as u16,
                         prev_link: d.via_link,
                         prev_vc: d.vc,
                         tries: 0,
-                        t_inject: d.t_inject,
-                        queue_cycles: d.queue_cycles,
-                        wire_cycles: d.wire_cycles,
-                        backoff_cycles: d.backoff_cycles,
                     },
                     arena,
                 );
@@ -181,29 +168,24 @@ impl Shard {
                     .expect("arbitration picked a non-empty tx FIFO");
                 let seq = w.data;
                 let h = net.flows[(seq >> 32) as usize].hops[0];
-                let li = link_globals
-                    .binary_search(&h.link)
-                    .expect("flow injected on a shard that does not own its first link");
                 p.inject_free = start + net.wt;
                 let entry = p.inject_free.ceil() as Cycle;
                 let port_id = p.id;
-                links[li].queues[usize::from(h.vc)].push_arrival(
+                links[net.local_link(id, h.link)].queues[usize::from(h.vc)].push_arrival(
                     h.lane,
                     QEntry {
-                        rank: word_rank(seq),
                         ready: entry,
                         seq,
                         hop: 0,
                         prev_link: u32::MAX,
                         prev_vc: 0,
                         tries: 0,
-                        t_inject: start.floor() as Cycle,
-                        queue_cycles: 0,
-                        wire_cycles: 0,
-                        backoff_cycles: 0,
                     },
                     arena,
                 );
+                if let Some(lg) = ledger {
+                    lg.set_inject(seq, start.floor() as Cycle);
+                }
                 out.inject_events.push(EngineEvent {
                     time: start.floor() as Cycle,
                     kind: EventKind::Inject,
@@ -218,8 +200,12 @@ impl Shard {
         // 4. Links: transmit queued words while the wire and window allow,
         // earliest feasible (start, seq) first across the two VCs; a
         // transmit consumes a credit of this link's downstream buffer and
-        // returns the upstream one.
+        // returns the upstream one. Most links sit idle in most windows;
+        // those are skipped before any queue is peeked.
         for l in links.iter_mut() {
+            if l.queues[0].is_empty() && l.queues[1].is_empty() {
+                continue;
+            }
             loop {
                 let mut best: Option<(f64, u64, usize)> = None;
                 for vc in 0..2usize {
@@ -230,8 +216,9 @@ impl Shard {
                         continue;
                     };
                     let start = (e.ready as f64).max(l.free).max(t0 as f64);
-                    if best.is_none_or(|(bs, bq, _)| (start, e.rank) < (bs, bq)) {
-                        best = Some((start, e.rank, vc));
+                    let rank = word_rank(e.seq);
+                    if best.is_none_or(|(bs, bq, _)| (start, rank) < (bs, bq)) {
+                        best = Some((start, rank, vc));
                     }
                 }
                 let Some((start, _, vc)) = best else {
@@ -262,13 +249,16 @@ impl Shard {
                         continue;
                     }
                 }
-                let mut e = l.queues[vc].pop(arena);
+                let e = l.queues[vc].pop(arena);
+                let start_cycle = start.floor() as Cycle;
                 // Attribution: everything between the word's last milestone
                 // (`ready`) and the floor the transmit actually starts on is
                 // queueing — waiting for credits, the wire, or an outage.
-                e.queue_cycles = e
-                    .queue_cycles
-                    .saturating_add((start.floor() as Cycle).saturating_sub(e.ready));
+                if let Some(lg) = ledger {
+                    lg.charge(e.seq, Charge::Queue, start_cycle.saturating_sub(e.ready));
+                }
+                // Every transmit is an attempt, drawn or not, so the fault
+                // indices stay the same whether or not a plan can fire.
                 let fault = net
                     .fault
                     .link_fault(site::engine_link(l.global), l.attempts);
@@ -289,7 +279,7 @@ impl Shard {
                             l.busy_fp += (wire * BUSY_ONE).round() as u64;
                         }
                         out.link_events.push(EngineEvent {
-                            time: start.floor() as Cycle,
+                            time: start_cycle,
                             kind: EventKind::Drop,
                             site: l.global,
                             vc: vc as u8,
@@ -307,18 +297,21 @@ impl Shard {
                         let lane = net.flows[(e.seq >> 32) as usize].hops[usize::from(e.hop)].lane;
                         let next_ready =
                             (l.free.ceil() as Cycle).saturating_add(net.retry.delay(e.tries));
+                        // Attribution: the span from this transmit's start to
+                        // the retry's ready cycle (wasted wire + exponential
+                        // backoff) is backoff; `ready` stays the milestone.
+                        if let Some(lg) = ledger {
+                            lg.charge(
+                                e.seq,
+                                Charge::Backoff,
+                                next_ready.saturating_sub(start_cycle),
+                            );
+                        }
                         l.queues[vc].push_retry(
                             lane,
                             QEntry {
                                 ready: next_ready,
                                 tries: e.tries + 1,
-                                // Attribution: the span from this transmit's
-                                // start to the retry's ready cycle (wasted
-                                // wire + exponential backoff) is charged to
-                                // backoff; `ready` stays the milestone.
-                                backoff_cycles: e.backoff_cycles.saturating_add(
-                                    next_ready.saturating_sub(start.floor() as Cycle),
-                                ),
                                 ..e
                             },
                             arena,
@@ -340,7 +333,7 @@ impl Shard {
                     return_credit(credit_outbox, net, e.prev_link, e.prev_vc);
                 }
                 out.link_events.push(EngineEvent {
-                    time: start.floor() as Cycle,
+                    time: start_cycle,
                     kind: EventKind::Hop,
                     site: l.global,
                     vc: vc as u8,
@@ -354,16 +347,13 @@ impl Shard {
                     to_node,
                     via_link: l.global,
                     vc: vc as u8,
-                    t_inject: e.t_inject,
-                    queue_cycles: e.queue_cycles,
-                    // Attribution: transmit start to delivery (serialization,
-                    // fault delay, and link latency) is wire time; `arrive`
-                    // becomes the word's next milestone.
-                    wire_cycles: e
-                        .wire_cycles
-                        .saturating_add(arrive.saturating_sub(start.floor() as Cycle)),
-                    backoff_cycles: e.backoff_cycles,
                 };
+                // Attribution: transmit start to delivery (serialization,
+                // fault delay, and link latency) is wire time; `arrive`
+                // becomes the word's next milestone.
+                if let Some(lg) = ledger {
+                    lg.charge(e.seq, Charge::Wire, arrive.saturating_sub(start_cycle));
+                }
                 // Arrivals land at or after this window's end, so a word
                 // staying in this shard can join `pending` right away.
                 match net.shard_of_node[to_node as usize] {
@@ -388,8 +378,9 @@ impl Shard {
                         continue;
                     }
                     if let Some(e) = eject[local].peek(arena) {
-                        if best.is_none_or(|(br, bq, _)| (e.rank, e.ready) < (br, bq)) {
-                            best = Some((e.rank, e.ready, node));
+                        let rank = word_rank(e.seq);
+                        if best.is_none_or(|(br, bq, _)| (rank, e.ready) < (br, bq)) {
+                            best = Some((rank, e.ready, node));
                         }
                     }
                 }
@@ -404,27 +395,27 @@ impl Shard {
                 let e = eject[local].pop(arena);
                 p.eject_free = start + net.wt;
                 let t_in = p.eject_free.ceil() as Cycle;
-                if net.record_latency {
+                if let Some(lg) = ledger {
+                    let start_cycle = start.floor() as Cycle;
                     let class = usize::from(net.flows[(e.seq >> 32) as usize].class);
-                    let lat = (start.floor() as Cycle).saturating_sub(e.t_inject);
+                    let lat = start_cycle.saturating_sub(lg.t_inject(e.seq));
                     lat_hist[class].record(lat);
-                    if !lat_sums.is_empty() {
+                    if lg.attributes() {
                         // The final queue charge: waiting for the ejection
                         // port. Inject wait is the residual, so the four
                         // components telescope to `lat` exactly.
-                        let queue = e
-                            .queue_cycles
-                            .saturating_add((start.floor() as Cycle).saturating_sub(e.ready));
+                        let [queue, wire, backoff] = lg.charges(e.seq);
+                        let queue = queue.saturating_add(start_cycle.saturating_sub(e.ready));
                         let b = &mut lat_sums[class];
                         b.count += 1;
                         b.queue += queue;
-                        b.wire += e.wire_cycles;
-                        b.backoff += e.backoff_cycles;
+                        b.wire += wire;
+                        b.backoff += backoff;
                         b.total += lat;
                         b.inject += lat
                             .saturating_sub(queue)
-                            .saturating_sub(e.wire_cycles)
-                            .saturating_sub(e.backoff_cycles);
+                            .saturating_sub(wire)
+                            .saturating_sub(backoff);
                     }
                 }
                 rx[local]

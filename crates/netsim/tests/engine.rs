@@ -3,8 +3,10 @@
 //! wedged watchdog, every injected word delivered — and the event order
 //! must not depend on the worker count.
 
+use memcomm_memsim::fault::{FaultConfig, FaultPlan};
 use memcomm_memsim::node::NodeParams;
-use memcomm_netsim::engine::{run_flows, run_schedule, EngineConfig};
+use memcomm_netsim::adversary::{self, AdversaryConfig, AdversaryKind};
+use memcomm_netsim::engine::{run_flows, run_schedule, EngineConfig, RetryPolicy};
 use memcomm_netsim::link::LinkParams;
 use memcomm_netsim::topology::Topology;
 use memcomm_netsim::traffic::{self, Flow};
@@ -267,6 +269,79 @@ fn long_runs_are_identical_across_jobs_shards_and_schedulers() {
                 assert_eq!(out.windows, base.windows, "{at}");
                 assert_eq!(out.flit_hops, base.flit_hops, "{at}");
                 assert_eq!(out.peak_queue_depth, base.peak_queue_depth, "{at}");
+            }
+        }
+    }
+}
+
+/// The per-word latency ledger under stress: a drop-heavy retry storm,
+/// flow latency and sampling on, and a backoff cap near `u64::MAX`. The
+/// critical-path breakdown must still telescope class by class, agree with
+/// the latency histograms, and come out identical at every jobs × shards
+/// under both schedulers (debug builds would panic on a wrapped add).
+#[test]
+fn latency_attribution_survives_retry_storms_and_extreme_backoff_caps() {
+    let topo = Topology::torus(&[4, 4]);
+    let t = adversary::generate(
+        &topo,
+        &AdversaryConfig {
+            kind: AdversaryKind::RetryStorm,
+            base_bytes: 64,
+            ..AdversaryConfig::default()
+        },
+    );
+    let link = LinkParams {
+        bytes_per_cycle: 8.0,
+        packet_words: 16,
+        header_bytes: 8,
+        adp_extra_bytes: 8,
+        latency_cycles: 4,
+        congestion: 1.0,
+    };
+    let run = |jobs: usize, shards: usize, reference: bool| {
+        let mut cfg = EngineConfig::new(link, NodeParams::default());
+        cfg.jobs = jobs;
+        cfg.shards = shards;
+        cfg.reference_scheduler = reference;
+        cfg.flow_classes = t.classes.clone();
+        cfg.record_latency = true;
+        cfg.sample_every = 16;
+        cfg.fault = FaultPlan::new(FaultConfig {
+            seed: 21,
+            rate: 0.4,
+            ..FaultConfig::default()
+        });
+        cfg.retry = RetryPolicy {
+            max_retries: 4,
+            backoff_base_cycles: 4,
+            backoff_factor: 3,
+            max_backoff_cycles: u64::MAX - 1,
+        };
+        run_flows(&topo, &t.flows, &cfg).expect("the storm completes")
+    };
+    let base = run(1, 1, false);
+    assert!(base.retried > 0, "a 40% fault rate must retry words");
+    assert_eq!(base.dropped, base.retried + base.abandoned);
+    let tel = base.telemetry.as_ref().expect("sampling was on");
+    assert_eq!(tel.breakdown.len(), base.flow_latency.len());
+    for (b, h) in tel.breakdown.iter().zip(&base.flow_latency) {
+        assert_eq!(b.count, h.count);
+        assert_eq!(b.total, h.sum);
+        assert_eq!(b.inject + b.queue + b.wire + b.backoff, b.total);
+    }
+    assert!(
+        tel.breakdown.iter().any(|b| b.backoff > 0),
+        "retries must show up as backoff"
+    );
+    for reference in [false, true] {
+        for jobs in [1, 4] {
+            for shards in [1, 0] {
+                let out = run(jobs, shards, reference);
+                let at = format!("jobs={jobs} shards={shards} reference={reference}");
+                assert_eq!(out.digest, base.digest, "{at}");
+                assert_eq!(out.flow_latency, base.flow_latency, "{at}");
+                assert_eq!(out.telemetry, base.telemetry, "{at}");
+                assert_eq!(out.degraded, base.degraded, "{at}");
             }
         }
     }
