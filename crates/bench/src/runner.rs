@@ -464,8 +464,11 @@ pub struct RunMetrics {
     pub jobs: usize,
     /// Total result rows across all experiments.
     pub points: u64,
-    /// Measurement-cache counters for this run (hits, misses, entries).
+    /// Basic-transfer memo counters for this run (hits, misses, entries).
     pub cache: CacheStats,
+    /// Exchange memo counters for this run: co-simulated `xQy` exchanges
+    /// answered from the memo's exchange table, and those simulated.
+    pub exchanges: CacheStats,
     /// Simulated-machine counters for this run (cycles, words, count).
     pub sim: SimCounters,
     /// Fault-machinery counters for this run (injected, retried, degraded,
@@ -491,6 +494,10 @@ impl RunMetrics {
             ("cache_entries", self.cache.entries.into()),
             ("cache_evictions", self.cache.evictions.into()),
             ("cache_hit_rate", self.cache.hit_rate().into()),
+            ("exchange_hits", self.exchanges.hits.into()),
+            ("exchange_misses", self.exchanges.misses.into()),
+            ("exchange_entries", self.exchanges.entries.into()),
+            ("exchange_evictions", self.exchanges.evictions.into()),
             ("sim_cycles", self.sim.cycles.into()),
             ("sim_words", self.sim.words.into()),
             ("measurements", self.sim.measurements.into()),
@@ -531,7 +538,7 @@ impl RunMetrics {
     /// One-line human summary (cache behaviour + wall time).
     pub fn summary(&self) -> String {
         format!(
-            "{} points in {:.0} ms on {} worker(s); cache: {} hits / {} misses ({:.0}% hit rate, {} entries); simulated {} cycles over {} measurements; faults: {} injected / {} retried / {} degraded / {} dropped",
+            "{} points in {:.0} ms on {} worker(s); cache: {} hits / {} misses ({:.0}% hit rate, {} entries); exchanges: {} hits / {} misses; simulated {} cycles over {} measurements; faults: {} injected / {} retried / {} degraded / {} dropped",
             self.points,
             self.wall_ms,
             self.jobs,
@@ -539,6 +546,8 @@ impl RunMetrics {
             self.cache.misses,
             self.cache.hit_rate() * 100.0,
             self.cache.entries,
+            self.exchanges.hits,
+            self.exchanges.misses,
             self.sim.cycles,
             self.sim.measurements,
             self.faults.injected,
@@ -615,7 +624,8 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
     // concurrent sweeps in one process can never bleed entries.
     let cache = memo::current().unwrap_or_else(memo::MemoCache::unbounded);
     let _memo_guard = memo::install(&cache);
-    let cache_before = memo::stats();
+    let cache_before = cache.stats();
+    let exchanges_before = cache.exchange_stats();
     let sim_before = simstats::counters();
     let faults_before = FaultCounters::from_obs(&obs);
     let start = Instant::now();
@@ -914,7 +924,8 @@ pub fn run_sweep(opts: &SweepOptions) -> (FullReport, RunMetrics) {
     let metrics = RunMetrics {
         jobs: opts.jobs,
         points: experiment_metrics.iter().map(|e| e.points).sum(),
-        cache: memo::stats().since(cache_before),
+        cache: cache.stats().since(cache_before),
+        exchanges: cache.exchange_stats().since(exchanges_before),
         sim: simstats::counters().since(sim_before),
         faults: FaultCounters::from_obs(&obs).since(faults_before),
         wall_ms: start.elapsed().as_secs_f64() * 1e3,

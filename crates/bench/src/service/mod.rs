@@ -207,26 +207,51 @@ fn error(state: &ServiceState, e: &memcomm_memsim::SimError) -> Outcome {
     reply(proto::error_response(e))
 }
 
-/// Parses raw frame payload bytes, dispatches, and renders the reply —
-/// the full byte-in/byte-out path both the server and `loadgen --check`
-/// use. Malformed JSON and malformed requests become error replies (the
-/// connection stays usable); only transport-level failures close it.
-pub fn dispatch_bytes(payload: &[u8], state: &ServiceState) -> (Vec<u8>, bool) {
-    let outcome = match std::str::from_utf8(payload)
+/// What one served frame produced: the rendered reply, whether the server
+/// should shut down after sending it, and the class of request the payload
+/// parsed to.
+#[derive(Debug)]
+pub struct Served {
+    /// The rendered response bytes.
+    pub reply: Vec<u8>,
+    /// `true` only for an accepted `shutdown` request.
+    pub shutdown: bool,
+    /// [`Request::class`] of the parsed request, or `"error"` for a
+    /// payload that did not parse.
+    pub class: &'static str,
+}
+
+/// Parses raw frame payload bytes once, dispatches, and renders the reply
+/// — the full byte-in/byte-out path of the server. Malformed JSON and
+/// malformed requests become error replies (the connection stays usable);
+/// only transport-level failures close it.
+pub fn serve_bytes(payload: &[u8], state: &ServiceState) -> Served {
+    let (outcome, class) = match std::str::from_utf8(payload)
         .map_err(|e| proto::protocol(format!("request is not UTF-8: {e}")))
         .and_then(|text| {
             Json::parse(text).map_err(|e| proto::protocol(format!("request is not JSON: {e}")))
         })
         .and_then(|doc| Request::parse(&doc))
     {
-        Ok(req) => dispatch(&req, state),
+        Ok(req) => (dispatch(&req, state), req.class()),
         Err(e) => {
             let _obs_guard = state.obs.install();
             state.obs.count("service.requests.total", 1);
-            error(state, &e)
+            (error(state, &e), "error")
         }
     };
-    (outcome.reply.render().into_bytes(), outcome.shutdown)
+    Served {
+        reply: outcome.reply.render().into_bytes(),
+        shutdown: outcome.shutdown,
+        class,
+    }
+}
+
+/// [`serve_bytes`] without the class: the reply bytes and the shutdown
+/// flag, as `loadgen --check` compares them.
+pub fn dispatch_bytes(payload: &[u8], state: &ServiceState) -> (Vec<u8>, bool) {
+    let served = serve_bytes(payload, state);
+    (served.reply, served.shutdown)
 }
 
 /// The request classes `stats` enumerates (wire order).
@@ -380,6 +405,22 @@ mod tests {
         assert_eq!(doc.get("kind").and_then(Json::as_str), Some("error"));
         assert_eq!(doc.get("code").and_then(Json::as_str), Some("protocol"));
         assert_eq!(state.obs.counter("service.errors"), 1);
+    }
+
+    #[test]
+    fn served_frames_carry_the_class_they_parsed_to() {
+        let state = state();
+        assert_eq!(serve_bytes(b"{nope", &state).class, "error");
+        assert_eq!(
+            serve_bytes(br#"{"kind": "teleport"}"#, &state).class,
+            "error"
+        );
+        let ping = serve_bytes(br#"{"kind": "ping"}"#, &state);
+        assert_eq!(ping.class, "ping");
+        assert_eq!(
+            (ping.reply, ping.shutdown),
+            dispatch_bytes(br#"{"kind": "ping"}"#, &state)
+        );
     }
 
     #[test]

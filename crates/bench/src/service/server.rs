@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use memcomm_machines::memo::MemoConfig;
 use memcomm_util::frame::{self, FrameError};
 
-use super::{dispatch_bytes, proto, ServiceState};
+use super::{proto, serve_bytes, ServiceState};
 
 /// How often a blocked read wakes up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
@@ -309,14 +309,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             ReadOutcome::Frame(payload) => {
                 let permit = shared.gate.acquire();
                 let start = Instant::now();
-                let (reply, shutdown) = dispatch_bytes(&payload, &shared.state);
+                let served = serve_bytes(&payload, &shared.state);
                 let micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                record_latency(shared, &payload, micros);
                 drop(permit);
-                if frame::write_frame(&mut stream, &reply).is_err() {
+                record_latency(shared, served.class, micros);
+                if frame::write_frame(&mut stream, &served.reply).is_err() {
                     break;
                 }
-                if shutdown {
+                if served.shutdown {
                     signal_shutdown(shared);
                     break;
                 }
@@ -325,15 +325,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Records server-side dispatch latency per request class. The class is
-/// re-derived from the payload's `kind` field (cheap relative to a
-/// dispatch; unparseable payloads go to the `error` class).
-fn record_latency(shared: &Shared, payload: &[u8], micros: u64) {
-    let class = std::str::from_utf8(payload)
-        .ok()
-        .and_then(|text| memcomm_util::json::Json::parse(text).ok())
-        .and_then(|doc| super::Request::parse(&doc).ok())
-        .map_or("error", |req| req.class());
+/// Records server-side dispatch latency under the request class the
+/// dispatch parsed (`error` for unparseable payloads).
+fn record_latency(shared: &Shared, class: &str, micros: u64) {
     let _obs_guard = shared.state.obs.install();
     shared
         .state

@@ -2,6 +2,7 @@
 //! the chosen implementation style running against one shared memory path
 //! per node.
 
+use memcomm_machines::memo::{self, machine_fingerprint, ExchangeKey};
 use memcomm_machines::Machine;
 use memcomm_memsim::clock::Cycle;
 use memcomm_memsim::engines::{Cpu, CpuReceiver, CpuSender, DepositEngine, DepositMode, Step};
@@ -131,9 +132,13 @@ impl ExchangeResult {
         self.measurement().throughput(clock)
     }
 
-    /// The raw measurement (words, cycles).
+    /// The raw measurement (words, cycles). Reading it counts nothing: the
+    /// exchange was counted once, when it was simulated.
     pub fn measurement(&self) -> Measurement {
-        Measurement::new(self.words, self.end_cycle)
+        Measurement {
+            words: self.words,
+            cycles: self.end_cycle,
+        }
     }
 }
 
@@ -447,7 +452,77 @@ pub fn run_exchange(
 ///
 /// As [`run_exchange`]; additionally [`SimError::InvalidWalk`] if an offset
 /// list's length differs from `cfg.words`.
+///
+/// Memoized in the installed memo handle's exchange table
+/// ([`memo::cached_exchange`]): the result is a pure function of the
+/// arguments, so each distinct exchange simulates once per cache, and its
+/// error, if any, replays from the cache like a value.
 pub fn run_exchange_specs(
+    machine: &Machine,
+    x: &WalkSpec,
+    y: &WalkSpec,
+    style: Style,
+    cfg: &ExchangeConfig,
+) -> SimResult<ExchangeResult> {
+    memo::cached_exchange(
+        || exchange_key(machine, x, y, style, cfg),
+        cfg.words,
+        || simulate_exchange(machine, x, y, style, cfg),
+    )
+}
+
+/// The exchange table's key: every input of [`run_exchange_specs`], word
+/// by word, with the congestion factor stored by its bits. Walk specs are
+/// tagged and offset lists length-prefixed, so no two inputs share a key.
+fn exchange_key(
+    machine: &Machine,
+    x: &WalkSpec,
+    y: &WalkSpec,
+    style: Style,
+    cfg: &ExchangeConfig,
+) -> ExchangeKey {
+    // Destructured so that a new configuration field cannot be left out.
+    let ExchangeConfig {
+        words,
+        chunk_words,
+        congestion,
+        full_duplex,
+        elide_contiguous_copies,
+        seed,
+        max_cycles,
+    } = *cfg;
+    let option = |v: Option<u64>| [u64::from(v.is_some()), v.unwrap_or(0)];
+    let mut key = vec![
+        machine_fingerprint(machine),
+        style as u64,
+        words,
+        u64::from(full_duplex),
+        u64::from(elide_contiguous_copies),
+        seed,
+    ];
+    key.extend(option(chunk_words));
+    key.extend(option(congestion.map(f64::to_bits)));
+    key.extend(option(max_cycles));
+    for spec in [x, y] {
+        match spec {
+            WalkSpec::Pattern(p) => key.extend(match *p {
+                AccessPattern::Fixed => [0, 0],
+                AccessPattern::Contiguous => [1, 0],
+                AccessPattern::Strided(stride) => [2, u64::from(stride)],
+                AccessPattern::Indexed => [3, 0],
+            }),
+            WalkSpec::Offsets(offsets) => {
+                key.extend([4, offsets.len() as u64]);
+                key.extend(offsets.iter().map(|&o| u64::from(o)));
+            }
+        }
+    }
+    key.into_boxed_slice()
+}
+
+/// Runs one exchange co-simulation unconditionally, bypassing the memo
+/// cache, and counts it in the simulation counters when it completes.
+fn simulate_exchange(
     machine: &Machine,
     x: &WalkSpec,
     y: &WalkSpec,
@@ -479,14 +554,15 @@ pub fn run_exchange_specs(
     // binding constraint of a healthy run.
     let mut watchdog =
         Watchdog::new(256 * cfg.words.max(1) + 100_000).with_cycle_budget(cfg.max_cycles);
+    // Candidates: (local time, agent id). 0-3 node A, 4-7 node B, 8/9
+    // links. One buffer, refilled every step.
+    let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(10);
 
     loop {
         if a.agents_done() && b.agents_done() {
             break;
         }
-        // Candidates: (local time, agent id). 0-3 node A, 4-7 node B,
-        // 8/9 links.
-        let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(10);
+        order.clear();
         for k in 0..4 {
             if let Some(t) = a.time_of(k) {
                 order.push((t, k));
@@ -549,6 +625,7 @@ pub fn run_exchange_specs(
     if obs.tracing() {
         emit_trace(&obs, &label, &a, &b, &phases, end_cycle);
     }
+    memcomm_memsim::stats::record(cfg.words, end_cycle);
     Ok(ExchangeResult {
         words: cfg.words,
         end_cycle,

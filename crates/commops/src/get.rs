@@ -203,11 +203,13 @@ pub fn run_get_exchange(
     let side_done = |s: &GetSide| s.requester_done && s.responder_done && s.deposit_done;
     let mut watchdog =
         Watchdog::new(256 * cfg.words.max(1) + 100_000).with_cycle_budget(cfg.max_cycles);
+    // Candidates (local time, agent id), one buffer refilled every step.
+    let mut order: Vec<(u64, usize)> = Vec::with_capacity(10);
     loop {
         if side_done(&a) && side_done(&b) {
             break;
         }
-        let mut order: Vec<(u64, usize)> = Vec::with_capacity(10);
+        order.clear();
         for (base_id, side) in [(0usize, &a), (3, &b)] {
             if !side.requester_done {
                 order.push((side.cpu.t, base_id));
@@ -285,6 +287,7 @@ pub fn run_get_exchange(
     // A pulled B's data: element i of B's src landed at element i of A's dst.
     let verified = a.layout.verify_received(&a.node, 1)
         && (!cfg.full_duplex || b.layout.verify_received(&b.node, 0));
+    memcomm_memsim::stats::record(cfg.words, end_cycle);
     Ok(ExchangeResult {
         words: cfg.words,
         end_cycle,

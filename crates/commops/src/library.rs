@@ -103,9 +103,12 @@ pub fn measure_message(
     let mut sender_done = false;
     let mut deposit_done = false;
     let mut watchdog = Watchdog::new(64 * words + 100_000);
+    // Candidates (local time, agent id), one buffer refilled every step.
+    let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(3);
     while !(sender_done && deposit_done) {
         watchdog.tick("message driver", cpu_a.t.max(deposit.t))?;
-        let mut order = vec![(link.time(), 2usize)];
+        order.clear();
+        order.push((link.time(), 2));
         if !sender_done {
             order.push((cpu_a.t, 0));
         }

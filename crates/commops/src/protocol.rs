@@ -565,6 +565,9 @@ pub fn run_resilient_transfer(
     let budget_steps = (u64::from(cfg.max_retries) + 2) * (64 * cfg.words + 10 * frames) + 100_000;
     let mut watchdog = Watchdog::new(budget_steps).with_cycle_budget(cfg.max_cycles);
 
+    // Earliest-first across the four agents: one candidate buffer,
+    // refilled every step.
+    let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(4);
     loop {
         let sender_done = matches!(sender.state, SendState::Done);
         if sender_done && receiver.done() {
@@ -572,8 +575,7 @@ pub fn run_resilient_transfer(
         }
         watchdog.tick("resilient transfer", sender.t.max(receiver.t))?;
         let mut progressed = false;
-        // Earliest-first across the four agents.
-        let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(4);
+        order.clear();
         if !sender_done {
             order.push((sender.t, 0));
         }

@@ -1,12 +1,37 @@
-//! Memoization of basic-transfer measurements behind an *injected* cache
+//! Memoization of simulated measurements behind an *injected* cache
 //! handle.
 //!
 //! Every experiment, calibration report and test that needs a basic-transfer
 //! rate funnels through [`microbench::measure_basic`](crate::microbench::measure_basic),
 //! and identical `(machine, transfer, words)` points recur across Tables
 //! 1–3, the calibration report, the rate tables behind Section 5 and the
-//! test tier. A [`MemoCache`] makes each distinct point simulate exactly
-//! once per cache.
+//! test tier. The end-to-end `xQy` exchanges recur the same way: Section 5,
+//! Table 5, the accuracy grid, put-vs-get and the kernels re-run many of
+//! the same two-node co-simulations. A [`MemoCache`] makes each distinct
+//! point simulate exactly once per cache.
+//!
+//! ## Two tables, one handle
+//!
+//! A cache holds two tables built from one [`MemoConfig`] and sharing one
+//! shard/CLOCK implementation:
+//!
+//! * the **basic table**, keyed by [`MemoKey`] `(machine fingerprint,
+//!   transfer, words)` and holding [`Cached`] measurements — what
+//!   [`cached`], [`MemoCache::get_or_insert`], [`MemoCache::stats`] and
+//!   [`MemoCache::shard_stats`] address;
+//! * the **exchange table**, keyed by an [`ExchangeKey`] — an exact word
+//!   encoding of every input of `commops::run_exchange_specs` (machine
+//!   fingerprint, both walk specs, style, configuration with floats stored
+//!   by their bits), never a bare hash — and holding that layer's results
+//!   type-erased (this crate cannot name `commops` types). Reached through
+//!   [`cached_exchange`]; counted by [`MemoCache::exchange_stats`].
+//!
+//! Each table keeps its own hit/miss/eviction counters, so the basic
+//! table's traffic reads the same whether or not exchanges are memoized.
+//! Capacity and admission apply to each table alike: a cache configured
+//! for `capacity` entries stores at most `capacity` basic points *and* at
+//! most `capacity` exchanges, and the admission threshold compares the
+//! payload words of either kind of point.
 //!
 //! ## The handle model
 //!
@@ -18,11 +43,12 @@
 //! downstream picks it up via [`current`], and a
 //! [`memcomm_util::par`] propagator re-installs it inside every `par_map`
 //! worker, mirroring how `memcomm_obs::Obs` handles travel. With no handle
-//! installed, [`cached`] simply simulates — correct, just uncached.
+//! installed, [`cached`] and [`cached_exchange`] simply simulate — correct,
+//! just uncached.
 //!
 //! ## Sharding, eviction, admission
 //!
-//! The cache is split into shards, each an independently locked map, so
+//! Each table is split into shards, each an independently locked map, so
 //! concurrent server workers rarely contend on one mutex. A bounded cache
 //! ([`MemoConfig::capacity`]) evicts with the CLOCK (second-chance LRU
 //! approximation) policy per shard: every hit sets a referenced bit, the
@@ -45,22 +71,30 @@
 //! cache and no cache at all produce byte-identical results — the property
 //! the served-vs-batch differential tier rests on.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex, MutexGuard, Once};
 
 use memcomm_memsim::{Measurement, SimResult};
 use memcomm_model::BasicTransfer;
 
 use crate::Machine;
 
-/// Cache key: machine fingerprint, transfer, payload words.
+/// Basic-table key: machine fingerprint, transfer, payload words.
 pub type MemoKey = (u64, BasicTransfer, u64);
 
-/// Cached value: a measurement, `None` for transfers the machine does not
+/// Basic-table value: a measurement, `None` for transfers the machine does not
 /// offer, or the deterministic simulation error.
 pub type Cached = SimResult<Option<Measurement>>;
+
+/// Exchange-table key: the exchange layer's exact word encoding of one
+/// exchange's inputs (see the module docs).
+pub type ExchangeKey = Box<[u64]>;
+
+/// Exchange-table value: the exchange layer's result behind `dyn Any`.
+type Erased = Arc<dyn Any + Send + Sync>;
 
 /// FNV-1a over the machine's complete `Debug` rendering. Every calibrated
 /// parameter shows up in the rendering, so any mutation changes the
@@ -108,7 +142,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the CLOCK hand to stay within capacity.
     pub evictions: u64,
-    /// Distinct `(machine, transfer, words)` points currently stored.
+    /// Distinct points currently stored.
     pub entries: u64,
 }
 
@@ -152,16 +186,16 @@ pub struct ShardStats {
 }
 
 #[derive(Debug)]
-struct Slot {
-    key: MemoKey,
-    value: Cached,
+struct Slot<K, V> {
+    key: K,
+    value: V,
     referenced: bool,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<MemoKey, usize>,
-    slots: Vec<Slot>,
+#[derive(Debug)]
+struct Shard<K, V> {
+    map: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
     hand: usize,
     hits: u64,
     misses: u64,
@@ -169,7 +203,21 @@ struct Shard {
     evictions: u64,
 }
 
-impl Shard {
+impl<K, V> Default for Shard<K, V> {
+    fn default() -> Self {
+        Shard {
+            map: HashMap::new(),
+            slots: Vec::new(),
+            hand: 0,
+            hits: 0,
+            misses: 0,
+            insertions: 0,
+            evictions: 0,
+        }
+    }
+}
+
+impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     /// Sweeps the CLOCK hand to a victim, unmaps it, and returns its slot
     /// index for reuse. Terminates because each pass clears referenced
     /// bits: after at most one full sweep an unreferenced slot exists.
@@ -190,10 +238,10 @@ impl Shard {
     /// Stores `key -> value`, evicting when the shard is at `cap`
     /// (`cap == 0` means unbounded). The caller has already checked the
     /// key is absent.
-    fn insert(&mut self, key: MemoKey, value: Cached, cap: usize) {
+    fn insert(&mut self, key: K, value: V, cap: usize) {
         self.insertions += 1;
         let slot = Slot {
-            key,
+            key: key.clone(),
             value,
             referenced: true,
         };
@@ -208,14 +256,115 @@ impl Shard {
     }
 }
 
-/// A sharded, bounded, concurrently shared measurement cache. Cheap to
-/// share as a [`MemoHandle`]; see the module docs for the design.
+/// One sharded, bounded map — the shard/CLOCK machinery both of a
+/// [`MemoCache`]'s tables run on.
+#[derive(Debug)]
+struct Table<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
+    /// Per-shard entry budgets (0 = unbounded); they sum to the configured
+    /// capacity exactly, so the total bound is strict.
+    caps: Vec<usize>,
+    admit_min_words: u64,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Table<K, V> {
+    fn new(config: MemoConfig) -> Self {
+        let mut shards = config.shards.max(1);
+        if config.capacity > 0 {
+            shards = shards.min(config.capacity);
+        }
+        let caps = (0..shards)
+            .map(|i| {
+                if config.capacity == 0 {
+                    0
+                } else {
+                    config.capacity / shards + usize::from(i < config.capacity % shards)
+                }
+            })
+            .collect();
+        Table {
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            caps,
+            admit_min_words: config.admit_min_words,
+        }
+    }
+
+    fn shard_of(&self, key: &K) -> usize {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        (h.finish() % self.shards.len() as u64) as usize
+    }
+
+    fn lock(&self, i: usize) -> MutexGuard<'_, Shard<K, V>> {
+        self.shards[i].lock().expect("memo shard poisoned")
+    }
+
+    /// Looks a key up, simulating with `simulate` on a miss. The shard
+    /// lock is held only for the lookup and (re-)insertion, never across
+    /// the simulation. A point of fewer than the admission threshold's
+    /// `words` is computed but never stored.
+    fn get_or_insert(&self, key: K, words: u64, simulate: impl FnOnce() -> V) -> V {
+        let si = self.shard_of(&key);
+        {
+            let mut shard = self.lock(si);
+            if let Some(&slot) = shard.map.get(&key) {
+                shard.hits += 1;
+                shard.slots[slot].referenced = true;
+                return shard.slots[slot].value.clone();
+            }
+            shard.misses += 1;
+        }
+        let value = simulate();
+        if words >= self.admit_min_words {
+            let mut shard = self.lock(si);
+            if !shard.map.contains_key(&key) {
+                shard.insert(key, value.clone(), self.caps[si]);
+            }
+        }
+        value
+    }
+
+    fn stats(&self) -> CacheStats {
+        let mut out = CacheStats::default();
+        for i in 0..self.shards.len() {
+            let shard = self.lock(i);
+            out.hits += shard.hits;
+            out.misses += shard.misses;
+            out.evictions += shard.evictions;
+            out.entries += shard.map.len() as u64;
+        }
+        out
+    }
+
+    fn shard_stats(&self) -> Vec<ShardStats> {
+        (0..self.shards.len())
+            .map(|i| {
+                let shard = self.lock(i);
+                ShardStats {
+                    hits: shard.hits,
+                    misses: shard.misses,
+                    insertions: shard.insertions,
+                    evictions: shard.evictions,
+                    entries: shard.map.len() as u64,
+                }
+            })
+            .collect()
+    }
+
+    fn clear(&self) {
+        for i in 0..self.shards.len() {
+            *self.lock(i) = Shard::default();
+        }
+    }
+}
+
+/// A sharded, bounded, concurrently shared measurement cache with a basic
+/// table and an exchange table. Cheap to share as a [`MemoHandle`]; see
+/// the module docs for the design.
 #[derive(Debug)]
 pub struct MemoCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard entry budgets (0 = unbounded); they sum to
-    /// `config.capacity` exactly, so the total bound is strict.
-    caps: Vec<usize>,
+    basic: Table<MemoKey, Cached>,
+    exchanges: Table<ExchangeKey, Erased>,
     config: MemoConfig,
 }
 
@@ -226,22 +375,9 @@ pub type MemoHandle = Arc<MemoCache>;
 impl MemoCache {
     /// Builds a cache from `config` (see [`MemoConfig`] for clamping).
     pub fn new(config: MemoConfig) -> MemoCache {
-        let mut shards = config.shards.max(1);
-        if config.capacity > 0 {
-            shards = shards.min(config.capacity);
-        }
-        let caps: Vec<usize> = (0..shards)
-            .map(|i| {
-                if config.capacity == 0 {
-                    0
-                } else {
-                    config.capacity / shards + usize::from(i < config.capacity % shards)
-                }
-            })
-            .collect();
         MemoCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            caps,
+            basic: Table::new(config),
+            exchanges: Table::new(config),
             config,
         }
     }
@@ -261,81 +397,38 @@ impl MemoCache {
         self.config
     }
 
-    /// The number of shards actually in use (after clamping).
+    /// The number of shards per table actually in use (after clamping).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.basic.shards.len()
     }
 
-    fn shard_of(&self, key: &MemoKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
-    }
-
-    fn lock(&self, i: usize) -> std::sync::MutexGuard<'_, Shard> {
-        self.shards[i].lock().expect("memo shard poisoned")
-    }
-
-    /// Looks a key up, simulating with `simulate` on a miss. The shard
-    /// lock is held only for the lookup and (re-)insertion, never across
-    /// the simulation. Below the admission threshold the value is computed
-    /// but never stored.
+    /// Looks a basic-transfer point up, simulating with `simulate` on a
+    /// miss. The shard lock is held only for the lookup and (re-)insertion,
+    /// never across the simulation. Below the admission threshold the value
+    /// is computed but never stored.
     pub fn get_or_insert(&self, key: MemoKey, simulate: impl FnOnce() -> Cached) -> Cached {
-        let si = self.shard_of(&key);
-        {
-            let mut shard = self.lock(si);
-            if let Some(&slot) = shard.map.get(&key) {
-                shard.hits += 1;
-                shard.slots[slot].referenced = true;
-                return shard.slots[slot].value.clone();
-            }
-            shard.misses += 1;
-        }
-        let value = simulate();
-        if key.2 >= self.config.admit_min_words {
-            let mut shard = self.lock(si);
-            if !shard.map.contains_key(&key) {
-                let cap = self.caps[si];
-                shard.insert(key, value.clone(), cap);
-            }
-        }
-        value
+        self.basic.get_or_insert(key, key.2, simulate)
     }
 
-    /// Aggregated counters across all shards.
+    /// Aggregated basic-table counters across all shards.
     pub fn stats(&self) -> CacheStats {
-        let mut out = CacheStats::default();
-        for i in 0..self.shards.len() {
-            let shard = self.lock(i);
-            out.hits += shard.hits;
-            out.misses += shard.misses;
-            out.evictions += shard.evictions;
-            out.entries += shard.map.len() as u64;
-        }
-        out
+        self.basic.stats()
     }
 
-    /// Per-shard counters, in shard order.
+    /// Aggregated exchange-table counters across all shards.
+    pub fn exchange_stats(&self) -> CacheStats {
+        self.exchanges.stats()
+    }
+
+    /// Per-shard basic-table counters, in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        (0..self.shards.len())
-            .map(|i| {
-                let shard = self.lock(i);
-                ShardStats {
-                    hits: shard.hits,
-                    misses: shard.misses,
-                    insertions: shard.insertions,
-                    evictions: shard.evictions,
-                    entries: shard.map.len() as u64,
-                }
-            })
-            .collect()
+        self.basic.shard_stats()
     }
 
-    /// Clears every entry and every counter.
+    /// Clears every entry and every counter of both tables.
     pub fn clear(&self) {
-        for i in 0..self.shards.len() {
-            *self.lock(i) = Shard::default();
-        }
+        self.basic.clear();
+        self.exchanges.clear();
     }
 }
 
@@ -391,8 +484,8 @@ fn ensure_propagator() {
     ONCE.call_once(|| memcomm_util::par::set_propagator(capture_current));
 }
 
-/// Reads the current thread's cache statistics (zeros with no handle
-/// installed).
+/// Reads the current thread's basic-table statistics (zeros with no
+/// handle installed).
 pub fn stats() -> CacheStats {
     current().map(|c| c.stats()).unwrap_or_default()
 }
@@ -423,6 +516,33 @@ pub fn cached(
         }
         None => simulate(),
     }
+}
+
+/// Looks an exchange up in the current thread's exchange table,
+/// simulating it with `simulate` on a miss; with no handle installed it
+/// simulates directly and never builds the key. `words` is the payload the
+/// admission threshold compares. Errors are cached like values when `T` is
+/// a `Result`, as basic points are.
+///
+/// # Panics
+///
+/// Panics if `key` was stored with a value of another type: one key
+/// encoding belongs to one value type.
+pub fn cached_exchange<T: Clone + Send + Sync + 'static>(
+    key: impl FnOnce() -> ExchangeKey,
+    words: u64,
+    simulate: impl FnOnce() -> T,
+) -> T {
+    let Some(cache) = current() else {
+        return simulate();
+    };
+    let value = cache
+        .exchanges
+        .get_or_insert(key(), words, || Arc::new(simulate()) as Erased);
+    value
+        .downcast_ref::<T>()
+        .expect("an exchange key maps to one value type")
+        .clone()
 }
 
 #[cfg(test)]
@@ -568,5 +688,50 @@ mod tests {
             let _ = cache.get_or_insert((i, t, 1), || Ok(None));
         }
         assert!(cache.stats().entries <= 3);
+    }
+
+    #[test]
+    fn exchange_table_is_separate_bounded_and_admits_like_the_basic_table() {
+        let cache = MemoCache::handle(MemoConfig {
+            shards: 2,
+            capacity: 3,
+            admit_min_words: 16,
+        });
+        let _g = install(&cache);
+        let mut runs = 0;
+        for i in 0..10u64 {
+            for _ in 0..2 {
+                let got = cached_exchange(
+                    || vec![i, 99].into_boxed_slice(),
+                    64,
+                    || {
+                        runs += 1;
+                        Ok::<u64, String>(i * 7)
+                    },
+                );
+                assert_eq!(got, Ok(i * 7));
+                assert!(cache.exchange_stats().entries <= 3, "bound violated at {i}");
+            }
+        }
+        assert_eq!(runs, 10, "each admitted key simulates once, then hits");
+        let ex = cache.exchange_stats();
+        assert_eq!(
+            (ex.hits, ex.misses, ex.entries, ex.evictions),
+            (10, 10, 3, 7)
+        );
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "basic table untouched"
+        );
+        // Below the threshold nothing is stored, so every lookup simulates.
+        let before = cache.exchange_stats();
+        for _ in 0..2 {
+            cached_exchange(|| vec![1000].into_boxed_slice(), 8, || runs += 1);
+        }
+        assert_eq!(runs, 12);
+        assert_eq!(cache.exchange_stats().since(before).misses, 2);
+        cache.clear();
+        assert_eq!(cache.exchange_stats(), CacheStats::default());
     }
 }

@@ -69,8 +69,8 @@ impl FaultCounters {
     }
 }
 
-/// A snapshot of the process-wide simulation counters: every
-/// [`Measurement`] ever constructed adds to them, so a sweep engine can
+/// A snapshot of the process-wide simulation counters: every finished
+/// simulation adds to them once ([`record`]), so a sweep engine can
 /// report how much simulated machine time a run covered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimCounters {
@@ -78,7 +78,7 @@ pub struct SimCounters {
     pub cycles: u64,
     /// Total payload words across all measurements.
     pub words: u64,
-    /// Number of measurements constructed.
+    /// Number of simulations recorded.
     pub measurements: u64,
 }
 
@@ -89,6 +89,16 @@ pub fn counters() -> SimCounters {
         words: SIM_WORDS.load(Ordering::Relaxed),
         measurements: MEASUREMENTS.load(Ordering::Relaxed),
     }
+}
+
+/// Adds one simulation of `words` payload words over `cycles` to the
+/// process-wide [`counters`]. [`Measurement::new`] calls it; simulations
+/// that return their own result type call it once when they finish, so a
+/// result read many times (or replayed from a memo cache) counts once.
+pub fn record(words: u64, cycles: Cycle) {
+    SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
+    SIM_WORDS.fetch_add(words, Ordering::Relaxed);
+    MEASUREMENTS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Resets the counters to zero (test isolation; the counters are global).
@@ -128,9 +138,7 @@ impl Measurement {
     /// Creates a measurement and records it in the process-wide
     /// [`counters`].
     pub fn new(words: u64, cycles: Cycle) -> Self {
-        SIM_CYCLES.fetch_add(cycles, Ordering::Relaxed);
-        SIM_WORDS.fetch_add(words, Ordering::Relaxed);
-        MEASUREMENTS.fetch_add(1, Ordering::Relaxed);
+        record(words, cycles);
         Measurement { words, cycles }
     }
 

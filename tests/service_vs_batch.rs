@@ -280,3 +280,48 @@ fn every_request_kind_serves_batch_identical_bytes() {
         }
     }
 }
+
+fn section_sweep(section: &str) -> SweepOptions {
+    SweepOptions {
+        jobs: 1,
+        micro_words: 256,
+        exchange_words: 256,
+        sections: [section.to_string()].into_iter().collect(),
+        ..SweepOptions::default()
+    }
+}
+
+#[test]
+fn a_served_sweep_replays_exchanges_an_earlier_sweep_simulated() {
+    // Batch bytes first, each from a fresh cache of its own.
+    let accuracy = section_sweep("accuracy");
+    let expected = sweep_reply(&accuracy);
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut conn = Client::connect(server.addr()).expect("client connects");
+    conn.call_bytes(&wire(&Request::Sweep(section_sweep("figure7"))))
+        .expect("figure7 served");
+    let before = server.state().cache.exchange_stats();
+    assert!(
+        before.misses > 0,
+        "figure7 co-simulates exchanges: {before:?}"
+    );
+    let served = conn
+        .call_bytes(&wire(&Request::Sweep(accuracy)))
+        .expect("accuracy served");
+    let delta = server.state().cache.exchange_stats().since(before);
+    assert!(
+        delta.hits > 0,
+        "accuracy re-runs T3D exchanges figure7 already simulated: {delta:?}"
+    );
+    assert_eq!(
+        served,
+        expected,
+        "served accuracy differs from batch\nserved:\n{}\nbatch:\n{}",
+        String::from_utf8_lossy(&served),
+        String::from_utf8_lossy(&expected),
+    );
+}
